@@ -351,6 +351,11 @@ func (b *Builder) materializePending(cb *colBuf) {
 	cb.codes = cb.codes[:0]
 }
 
+// ChunkRows returns the target rows per emitted chunk. A producer that
+// flushes after every ChunkRows appended rows holds at most one chunk of
+// pending rows and emits only full chunks before the last.
+func (b *Builder) ChunkRows() int { return b.target }
+
 // FlushFull emits the pending rows as target-sized chunks once the target
 // chunk size is reached. Call it at row-aligned points.
 func (b *Builder) FlushFull() error {
@@ -361,8 +366,8 @@ func (b *Builder) FlushFull() error {
 }
 
 // flush emits every column's pending rows as aligned chunks, splitting at
-// the target chunk size (a caller may buffer a whole output — the join's
-// scatter phase does — and still get bounded, aligned chunks out).
+// the target chunk size, so rows appended past the target between flushes
+// still come out as bounded, aligned chunks.
 func (b *Builder) flush() error {
 	n := -1
 	for ci := range b.cols {

@@ -15,6 +15,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"github.com/shortcircuit-db/sc/internal/engine"
 	"github.com/shortcircuit-db/sc/internal/kernels"
 	"github.com/shortcircuit-db/sc/internal/memcat"
+	"github.com/shortcircuit-db/sc/internal/metrics"
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/sched"
 	"github.com/shortcircuit-db/sc/internal/sql"
@@ -158,14 +160,25 @@ type Controller struct {
 	// Concurrency is the run's token budget: up to k independent DAG nodes
 	// execute at a time, each on one borrowed token. Values <= 1 run nodes
 	// serially in exact plan order. With k > 1 a node starts as soon as all
-	// its parents have finished, preferring nodes earliest in the plan
-	// order; the Memory Catalog budget is still enforced byte-for-byte (an
-	// output that no longer fits falls back to a blocking write, exactly as
-	// in the serial path). When Sched is nil a private k-token pool is
-	// created per Run; tokens the dispatcher is not using are available to
-	// the kernels' chunk-parallel scans (see ParallelScan), which is how a
-	// chain-shaped plan still saturates k cores.
+	// its parents have finished; among ready nodes the dispatcher prefers
+	// the one heading the longest learned path (see History), else the
+	// earliest in the plan order. The Memory Catalog budget is still
+	// enforced byte-for-byte (an output that no longer fits falls back to a
+	// blocking write, exactly as in the serial path). When Sched is nil a
+	// private k-token pool is created per Run; tokens the dispatcher is not
+	// using are available to the kernels' chunk-parallel scans (see
+	// ParallelScan), which is how a chain-shaped plan still saturates k
+	// cores.
 	Concurrency int
+	// History is the session's learned execution metadata (nil: none).
+	// With Concurrency > 1 the dispatcher orders ready nodes by bottom
+	// level — a node's mean learned wall time plus the longest learned
+	// path below it — ties broken by plan position, so the critical chain
+	// starts first. It keeps plan order when some node was never observed,
+	// or when the plan's flagged outputs, at their latest observed catalog
+	// bytes, do not all fit Mem's capacity together: the knapsack priced
+	// the plan's residency windows, and reordering would stretch them.
+	History *metrics.Store
 	// Sched, when non-nil, is a shared scheduler-wide token pool (the
 	// gateway hands every concurrent run the same one, so tenants cannot
 	// oversubscribe cores). The dispatcher borrows a token per in-flight
@@ -296,13 +309,19 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	var wgNodes sync.WaitGroup
 
 	// Dispatcher: when a ready node and a token are both available, start
-	// the earliest-in-plan ready node on its own goroutine holding that
-	// token; fold completions back into the schedule. Nodes release their
-	// token before reporting done, so a finishing node's token is
-	// immediately available — to this dispatcher, to a concurrent run
-	// sharing the pool, or to an intra-node scan.
+	// the best-ranked ready node on its own goroutine holding that token;
+	// fold completions back into the schedule. Nodes release their token
+	// before reporting done, so a finishing node's token is immediately
+	// available — to this dispatcher, to a concurrent run sharing the pool,
+	// or to an intra-node scan.
+	rank := rs.pos
+	if workers > 1 {
+		if cr := c.criticalRank(g, plan); cr != nil {
+			rank = cr
+		}
+	}
 	indeg := make([]int, n)
-	ready := &posHeap{pos: rs.pos}
+	ready := &rankHeap{rank: rank}
 	for i := 0; i < n; i++ {
 		indeg[i] = len(g.Parents(dag.NodeID(i)))
 		if indeg[i] == 0 {
@@ -772,18 +791,68 @@ func (rs *runState) noteHighWater() {
 	}
 }
 
-// posHeap is a min-heap of node IDs keyed by plan position, so the
-// dispatcher always hands out the ready node the optimizer wanted first.
-type posHeap struct {
-	pos []int
-	a   []dag.NodeID
+// criticalRank ranks every node for dispatch by descending bottom level
+// (see Controller.History), ties by plan position. It returns nil — keep
+// plan order — without history, with a node never observed, or when the
+// budget binds.
+func (c *Controller) criticalRank(g *dag.Graph, plan *core.Plan) []int {
+	if c.History == nil {
+		return nil
+	}
+	n := g.Len()
+	wall := make([]time.Duration, n)
+	var flaggedBytes int64
+	for i := range wall {
+		name := g.Name(dag.NodeID(i))
+		w, ok := c.History.MeanWall(name)
+		if !ok {
+			return nil
+		}
+		wall[i] = w
+		if c.Mem != nil && plan.Flagged[i] {
+			o, _ := c.History.Latest(name)
+			if c.Encoding != nil && o.EncodedBytes > 0 {
+				flaggedBytes += o.EncodedBytes
+			} else {
+				flaggedBytes += o.OutputBytes
+			}
+		}
+	}
+	if c.Mem != nil && flaggedBytes > c.Mem.Capacity() {
+		return nil
+	}
+	// The plan order is topological, so walking it backwards settles every
+	// child's bottom level before its parents'.
+	level := make([]time.Duration, n)
+	for k := len(plan.Order) - 1; k >= 0; k-- {
+		id := plan.Order[k]
+		var below time.Duration
+		for _, ch := range g.Children(id) {
+			below = max(below, level[ch])
+		}
+		level[id] = wall[id] + below
+	}
+	byLevel := append([]dag.NodeID(nil), plan.Order...)
+	sort.SliceStable(byLevel, func(a, b int) bool { return level[byLevel[a]] > level[byLevel[b]] })
+	rank := make([]int, n)
+	for r, id := range byLevel {
+		rank[id] = r
+	}
+	return rank
 }
 
-func (h *posHeap) len() int           { return len(h.a) }
-func (h *posHeap) peek() dag.NodeID   { return h.a[0] }
-func (h *posHeap) less(i, j int) bool { return h.pos[h.a[i]] < h.pos[h.a[j]] }
+// rankHeap is a min-heap of node IDs keyed by dispatch rank (plan position
+// or criticalRank), so the dispatcher always hands out the ready node it
+// should start first.
+type rankHeap struct {
+	rank []int
+	a    []dag.NodeID
+}
 
-func (h *posHeap) push(x dag.NodeID) {
+func (h *rankHeap) len() int           { return len(h.a) }
+func (h *rankHeap) less(i, j int) bool { return h.rank[h.a[i]] < h.rank[h.a[j]] }
+
+func (h *rankHeap) push(x dag.NodeID) {
 	h.a = append(h.a, x)
 	i := len(h.a) - 1
 	for i > 0 {
@@ -796,7 +865,7 @@ func (h *posHeap) push(x dag.NodeID) {
 	}
 }
 
-func (h *posHeap) pop() dag.NodeID {
+func (h *rankHeap) pop() dag.NodeID {
 	top := h.a[0]
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]

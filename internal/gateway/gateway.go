@@ -225,6 +225,11 @@ const (
 	StateFailed    = "failed"
 	StateCanceled  = "canceled"
 	StateExpired   = "expired"
+	// StateCanceling is reported, never stored: a running refresh whose
+	// cancellation was requested but which has not reached its terminal
+	// state yet (the Controller stops at its next read or write boundary
+	// and awaits background writes already handed to the store).
+	StateCanceling = "canceling"
 )
 
 // Run is one refresh trigger through its lifecycle: queued by admission,
@@ -252,6 +257,7 @@ type Run struct {
 	startedAt  time.Time
 	finishedAt time.Time
 	cancelRun  context.CancelFunc // set while running
+	canceling  bool               // CancelRun was called while running
 	cat        *memcat.Catalog    // live catalog while running
 	errMsg     string
 	nodes      int
@@ -313,6 +319,9 @@ func (r *Run) status() RunStatus {
 		StartedAt: r.startedAt, FinishedAt: r.finishedAt,
 		Nodes: r.nodes, Flagged: r.flagged, FallbackWrites: r.fallbacks,
 		Error: r.errMsg, EventsDropped: r.events.droppedCount(),
+	}
+	if r.state == StateRunning && r.canceling {
+		st.State = StateCanceling
 	}
 	if !r.startedAt.IsZero() {
 		st.QueueWaitSeconds = r.startedAt.Sub(r.enqueuedAt).Seconds()
@@ -850,6 +859,7 @@ func (s *Server) execute(ctx context.Context, r *Run, p *pipeline, plan *core.Pl
 		Obs:          obs.Multi(metrics.NewRecorder(p.md), r.events, s.prom.runObserver(r.tenant, r.pipeline), r.trace.Observer()),
 		RunID:        r.id,
 		Concurrency:  s.cfg.Concurrency,
+		History:      p.md,
 		Sched:        s.sched,
 		ParallelScan: s.cfg.ParallelScan,
 		Encoding:     p.encOpts,
@@ -1043,10 +1053,13 @@ func (s *Server) cancelIfQueued(r *Run, tkt *ticket) bool {
 	return true
 }
 
-// CancelRun cancels a run: a queued trigger is dropped from the queue, a
-// running refresh has its context canceled — the Controller stops at the
-// next boundary and the cancellation sweep plus catalog detach release
-// every reserved and resident byte.
+// CancelRun cancels a run and returns its status without waiting: a queued
+// trigger is dropped from the queue and reports "canceled"; a running
+// refresh has its context canceled and reports "canceling" until it ends —
+// the Controller stops at the next boundary and the cancellation sweep
+// plus catalog detach release every reserved and resident byte. It ends
+// "canceled", or "succeeded" when every node had already executed. A run
+// already terminal is reported as it is.
 func (s *Server) CancelRun(id string) (RunStatus, error) {
 	s.mu.Lock()
 	r, ok := s.runs[id]
@@ -1061,6 +1074,7 @@ func (s *Server) CancelRun(id string) (RunStatus, error) {
 	r.mu.Lock()
 	if r.state == StateRunning && r.cancelRun != nil {
 		r.cancelRun()
+		r.canceling = true
 	}
 	r.mu.Unlock()
 	return r.status(), nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
@@ -221,10 +222,14 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGatewayCancelQueuedRun triggers the same pipeline twice — the
-// second queues behind the busy first — and cancels the queued one.
+// TestGatewayCancelQueuedRun holds a first refresh mid-run on a gated
+// store, so a second trigger of the same pipeline must queue behind it.
+// Cancelling the queued run reports "canceled" and takes no reservation;
+// cancelling the held run reports "canceling" until the gate opens, after
+// which it ends and returns every byte.
 func TestGatewayCancelQueuedRun(t *testing.T) {
-	s, ts := newTestGateway(t, Config{})
+	gs := &gateStore{Store: storage.NewMemStore()}
+	s, ts := newTestGateway(t, Config{NewStore: func(string) storage.Store { return gs }})
 	if err := s.Register(PipelineSpec{
 		Name: "p", Tenant: "t",
 		MVs:    pipelineRequest("", "").MVs,
@@ -233,46 +238,50 @@ func TestGatewayCancelQueuedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hold the pipeline busy: trigger programmatically, then trigger again
-	// over HTTP and cancel the queued run. To dodge the race where the
-	// first run finishes before the second trigger, retry until we catch a
-	// queued state.
-	for attempt := 0; attempt < 20; attempt++ {
-		r1, err := s.Trigger("p")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := postJSON(t, ts.URL+"/v1/pipelines/p/refresh", nil)
-		if resp.StatusCode != http.StatusAccepted {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("trigger: %d %s", resp.StatusCode, b)
-		}
-		st := decodeBody[RunStatus](t, resp)
-		<-r1.done
-		if st.State != StateQueued {
-			// The first run won the race; drain and retry.
-			r2, err := s.runHandle(st.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			<-r2.done
-			continue
-		}
-		resp = postJSON(t, ts.URL+"/v1/runs/"+st.ID+"/cancel", nil)
-		got := decodeBody[RunStatus](t, resp)
-		if got.State != StateCanceled && got.State != StateSucceeded {
-			t.Fatalf("cancel state = %q", got.State)
-		}
-		if got.State == StateCanceled {
-			if s.pool.Reserved() != 0 {
-				// r1 finished already; its reservation must be gone, and the
-				// canceled run never took one.
-				t.Fatalf("reserved = %d after cancel", s.pool.Reserved())
-			}
-			return
-		}
+	gs.block()
+	t.Cleanup(gs.open) // runs before the gateway's Close, which awaits r1
+	r1, err := s.Trigger("p")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Skip("could not catch a queued run in 20 attempts (machine too fast/slow)")
+	// r1 cannot finish while one of its writes is parked at the gate.
+	for deadline := time.Now().Add(5 * time.Second); gs.arrived.Load() < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first run never reached the store")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r1Reserved := s.pool.Reserved()
+
+	resp := postJSON(t, ts.URL+"/v1/pipelines/p/refresh", nil)
+	if resp.StatusCode != http.StatusAccepted {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("trigger: %d %s", resp.StatusCode, b)
+	}
+	st := decodeBody[RunStatus](t, resp)
+	if st.State != StateQueued {
+		t.Fatalf("second trigger state = %q, want %q behind the held run", st.State, StateQueued)
+	}
+	got := decodeBody[RunStatus](t, postJSON(t, ts.URL+"/v1/runs/"+st.ID+"/cancel", nil))
+	if got.State != StateCanceled {
+		t.Fatalf("cancel state = %q, want %q", got.State, StateCanceled)
+	}
+	if s.pool.Reserved() != r1Reserved {
+		t.Fatalf("reserved = %d after cancelling the queued run, want r1's %d", s.pool.Reserved(), r1Reserved)
+	}
+
+	got = decodeBody[RunStatus](t, postJSON(t, ts.URL+"/v1/runs/"+r1.id+"/cancel", nil))
+	if got.State != StateCanceling {
+		t.Fatalf("cancel of the held run = %q, want %q", got.State, StateCanceling)
+	}
+	gs.open()
+	<-r1.done
+	if end := r1.status().State; end != StateCanceled && end != StateSucceeded {
+		t.Fatalf("held run ended %q after cancel", end)
+	}
+	if s.pool.Reserved() != 0 || s.pool.Used() != 0 {
+		t.Fatalf("reserved = %d, used = %d after both runs ended", s.pool.Reserved(), s.pool.Used())
+	}
 }
 
 // TestGatewayWaitDisconnectCancels verifies the wait-mode contract: a

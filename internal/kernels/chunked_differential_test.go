@@ -290,3 +290,98 @@ func TestChunkedDictReuseAcrossRuns(t *testing.T) {
 		t.Fatalf("second run stats = %+v: expected dictionary reuse from the session cache", second)
 	}
 }
+
+// streamKey appends a join-key column drawn from a few shared values
+// (dictionary- or run-shaped), so joins emit many rows and many windows.
+func streamKey(rng *rand.Rand, tb *table.Table, name string, typ table.Type, n int) int {
+	tb.Schema.Cols = append(tb.Schema.Cols, table.Column{Name: name, Type: typ})
+	shape := []colShape{shapeLowCard, shapeRuns}[rng.Intn(2)]
+	tb.Cols = append(tb.Cols, genVector(rng, typ, shape, n))
+	return len(tb.Cols) - 1
+}
+
+// runStreamed runs a chunked join whose builder targets `target` rows per
+// chunk and checks the window layout: every chunk but the last holds
+// exactly the target. It returns the decoded rows and the chunk count.
+func runStreamed(t *testing.T, seed int64, op ChunkedOp, ctx *engine.Context, target int) (*table.Table, int, error) {
+	t.Helper()
+	ct, _, err := op.RunChunked(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	if ct == nil {
+		t.Fatalf("seed %d: the join fell back to the row engine", seed)
+	}
+	groups := ct.RowGroups()
+	if groups == nil {
+		t.Fatalf("seed %d: streamed output has misaligned row groups", seed)
+	}
+	for g, rows := range groups {
+		if g < len(groups)-1 && rows != target {
+			t.Fatalf("seed %d: chunk %d of %d holds %d rows, want the target %d", seed, g, len(groups), rows, target)
+		}
+	}
+	tb, err := ct.Table()
+	return tb, len(groups), err
+}
+
+// TestDifferentialStreamingJoin: with a builder target of a few rows the
+// chunked join assembles and flushes its output window by window, dropping
+// left groups as it goes. Rows must still match the row engine across key
+// types, encodings and side predicates, every chunk but the last must hold
+// exactly the target, and the join must never fall back.
+func TestDifferentialStreamingJoin(t *testing.T) {
+	iters := 150
+	if testing.Short() {
+		iters = 30
+	}
+	multi := 0
+	for seed := 14000; seed < 14000+iters; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		nL, nR := 20+rng.Intn(300), 1+rng.Intn(40)
+		left, right := genTable(rng, nL), genTable(rng, nR)
+		typ := table.Int
+		if rng.Intn(2) == 0 {
+			typ = table.Str
+		}
+		lk := streamKey(rng, left, "lk", typ, nL)
+		rk := streamKey(rng, right, "rk", typ, nR)
+		var lpred engine.Expr
+		if rng.Intn(3) == 0 {
+			lpred = genPred(rng, left, 1)
+		}
+		build := func() engine.Node {
+			var l engine.Node = &engine.Scan{Name: "L", Sch: left.Schema}
+			if lpred != nil {
+				l = &engine.Filter{Input: l, Pred: lpred}
+			}
+			return &engine.HashJoin{
+				Left:      l,
+				Right:     &engine.Scan{Name: "R", Sch: right.Schema},
+				LeftKeys:  []int{lk},
+				RightKeys: []int{rk},
+			}
+		}
+		target := 2 + rng.Intn(9)
+		opts := map[string]encoding.Options{"L": encOptions(rng), "R": encOptions(rng)}
+		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
+
+		want, wantErr := build().Run(rowCtx)
+		st := &Stats{}
+		op, ok := LowerEnv(build(), st, &Env{Opts: encoding.Options{ChunkRows: target}}).(ChunkedOp)
+		if !ok {
+			t.Fatalf("seed %d: join did not lower to a chunked operator", seed)
+		}
+		got, chunks, gotErr := runStreamed(t, int64(seed), op, vecCtx, target)
+		mustEqual(t, int64(seed), "streaming join", want, got, wantErr, gotErr)
+		if st.Fallbacks != 0 {
+			t.Fatalf("seed %d: streaming join fell back %d times", seed, st.Fallbacks)
+		}
+		if chunks >= 3 {
+			multi++
+		}
+	}
+	if multi < iters/2 {
+		t.Fatalf("only %d of %d joins emitted three or more windows", multi, iters)
+	}
+}

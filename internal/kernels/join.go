@@ -513,33 +513,34 @@ func bucketByGroup(rightIdx []int, groups []*joinGroup) [][]int {
 	return byGroup
 }
 
-// joinChunked runs the join emitting compressed chunks: the probe records
-// surviving (left group/row, build ordinal) pairs, and output columns then
-// assemble through a chunkio.Builder — dictionary-encoded source columns as
-// remapped codes, everything else as late-materialized values — in the row
-// engine's exact output order (probe order, then build order).
+// joinChunked runs the join emitting compressed chunks in the row engine's
+// exact output order (probe order, then build order). The probe records
+// surviving (left group/row, build ordinal) pairs, touching only key
+// columns; whenever a builder chunk's worth of pairs is pending, that
+// window's output columns assemble — dictionary-encoded source columns as
+// remapped codes, everything else as late-materialized values — and flush
+// as one chunk, and the left groups the window has passed are dropped. So
+// the join never holds its whole output in builder buffers, nor every
+// decoded left group; a serial probe streams its pair lists as well.
 func (j *HashJoinScan) joinChunked(ctx *engine.Context, lct *encoding.Compressed, lgroups []int, rct *encoding.Compressed, rgroups []int) (*encoding.Compressed, error) {
 	bp, err := j.buildPhase(rct, rgroups)
 	if err != nil {
 		return nil, err
 	}
-	leftOut, rightOut := j.outLayout()
+	w := &joinWindows{j: j, bp: bp, b: j.Env.builderFor(j.Sch, j.ID), groups: make([]*joinGroup, len(lgroups))}
+	w.leftOut, w.rightOut = j.outLayout()
 
-	// Probe phase: record pairs, touching only key columns. Left groups stay
-	// alive until the assembly phase reads the survivors. The pair lists
-	// partition across borrowed tokens (thread-local lists concatenated in
-	// partition order = serial probe order); the builder assembly below is
-	// serial, single-threaded state.
-	leftGroups := make([]*joinGroup, len(lgroups))
-	var pairLeft []int64 // left (group << 32 | local row) per output row
-	var pairRight []int  // build-side ordinal per output row
 	if pp := planPartitions(ctx, lct, lgroups); pp != nil {
+		// The pair lists partition across borrowed tokens (thread-local
+		// lists fed to the windows in partition order = serial probe
+		// order); the builder is single-threaded state, so assembly waits
+		// for every partition.
 		lefts := make([][]int64, len(pp.parts))
 		rights := make([][]int, len(pp.parts))
 		sts := make([]Stats, len(pp.parts))
 		err := pp.run(func(p, lo, hi int) error {
 			var err error
-			lefts[p], rights[p], err = j.probePairs(lct, lgroups, lo, hi, bp, &sts[p], leftGroups)
+			lefts[p], rights[p], err = j.probePairs(lct, lgroups, lo, hi, bp, &sts[p], w.groups, nil, nil)
 			return err
 		})
 		pp.done()
@@ -547,50 +548,110 @@ func (j *HashJoinScan) joinChunked(ctx *engine.Context, lct *encoding.Compressed
 		if err != nil {
 			return nil, err
 		}
-		for p := range lefts {
-			pairLeft = append(pairLeft, lefts[p]...)
-			pairRight = append(pairRight, rights[p]...)
+		// Assembly is serial: what it decodes and settles in the left
+		// groups counts toward the operator's own Stats.
+		for _, jg := range w.groups {
+			jg.cc.st = j.St
+		}
+		for p, part := range pp.parts {
+			w.pairLeft = append(w.pairLeft, lefts[p]...)
+			w.pairRight = append(w.pairRight, rights[p]...)
+			lefts[p], rights[p] = nil, nil
+			if err := w.emitFull(part[1]); err != nil {
+				return nil, err
+			}
 		}
 	} else {
-		if pairLeft, pairRight, err = j.probePairs(lct, lgroups, 0, len(lgroups), bp, j.St, leftGroups); err != nil {
-			return nil, err
+		for g := range lgroups {
+			if w.pairLeft, w.pairRight, err = j.probePairs(lct, lgroups, g, g+1, bp, j.St, w.groups, w.pairLeft, w.pairRight); err != nil {
+				return nil, err
+			}
+			if err := w.emitFull(g + 1); err != nil {
+				return nil, err
+			}
 		}
 	}
-
-	b := j.Env.builderFor(j.Sch, j.ID)
-	for _, oc := range leftOut {
-		if err := j.assembleLeft(b, leftGroups, pairLeft, oc); err != nil {
-			return nil, err
-		}
-	}
-	if err := j.assembleRight(b, bp.groups, pairRight, rightOut); err != nil {
+	if err := w.assemble(0, len(w.pairLeft)); err != nil {
 		return nil, err
 	}
-	for _, jg := range leftGroups {
-		jg.cc.finish()
-	}
+	w.release(len(lgroups))
 	for _, jg := range bp.groups {
 		if jg.n > 0 {
 			jg.cc.finish()
 		}
 	}
-	ct, err := b.Finish()
+	ct, err := w.b.Finish()
 	if err != nil {
 		return nil, err
 	}
-	j.St.addBuilder(b.Counters)
+	j.St.addBuilder(w.b.Counters)
 	return ct, nil
 }
 
-// probePairs probes the left row groups in [lo, hi), recording surviving
-// (left group/row, build ordinal) pairs without touching non-key columns.
-// It fills the [lo, hi) slots of leftGroups — disjoint across concurrent
-// ranges — and st must be thread-local when ranges run concurrently.
-func (j *HashJoinScan) probePairs(lct *encoding.Compressed, lgroups []int, lo, hi int, bp *buildState, st *Stats, leftGroups []*joinGroup) ([]int64, []int, error) {
+// joinWindows assembles a chunked join's output one builder chunk at a
+// time from the pending probe pairs.
+type joinWindows struct {
+	j                 *HashJoinScan
+	bp                *buildState
+	b                 *chunkio.Builder
+	leftOut, rightOut []outCol
+	groups            []*joinGroup // left groups by index; nil once dropped
+	dropped           int          // groups [0, dropped) are finished and dropped
+	pairLeft          []int64      // pending: left (group << 32 | local row)
+	pairRight         []int        // pending: build-side ordinal
+}
+
+// emitFull assembles and flushes every full window of pending pairs, then
+// drops the left groups before the first one a pending pair still refers
+// to — all of the first probed groups when no pair is pending.
+func (w *joinWindows) emitFull(probed int) error {
+	target := w.b.ChunkRows()
+	done := 0
+	for ; len(w.pairLeft)-done >= target; done += target {
+		if err := w.assemble(done, done+target); err != nil {
+			return err
+		}
+		if err := w.b.FlushFull(); err != nil {
+			return err
+		}
+	}
+	n := copy(w.pairLeft, w.pairLeft[done:])
+	copy(w.pairRight, w.pairRight[done:])
+	w.pairLeft, w.pairRight = w.pairLeft[:n], w.pairRight[:n]
+	if n > 0 {
+		probed = int(w.pairLeft[0] >> 32)
+	}
+	w.release(probed)
+	return nil
+}
+
+// assemble appends the output rows of pending pairs [lo, hi) to the
+// builder, column by column.
+func (w *joinWindows) assemble(lo, hi int) error {
+	for _, oc := range w.leftOut {
+		if err := w.j.assembleLeft(w.b, w.groups, w.pairLeft[lo:hi], oc); err != nil {
+			return err
+		}
+	}
+	return w.j.assembleRight(w.b, w.bp.groups, w.pairRight[lo:hi], w.rightOut)
+}
+
+// release settles and drops the left groups before upto.
+func (w *joinWindows) release(upto int) {
+	for ; w.dropped < upto; w.dropped++ {
+		w.groups[w.dropped].cc.finish()
+		w.groups[w.dropped] = nil
+	}
+}
+
+// probePairs probes the left row groups in [lo, hi), appending surviving
+// (left group/row, build ordinal) pairs to pairLeft and pairRight without
+// touching non-key columns. It fills the [lo, hi) slots of leftGroups —
+// disjoint across concurrent ranges — and st must be thread-local when
+// ranges run concurrently.
+func (j *HashJoinScan) probePairs(lct *encoding.Compressed, lgroups []int, lo, hi int, bp *buildState, st *Stats, leftGroups []*joinGroup, pairLeft []int64, pairRight []int) ([]int64, []int, error) {
 	nKeys := len(j.LeftKeys)
 	scratch := make([]byte, 8*nKeys)
-	var pairLeft []int64
-	var pairRight []int
 	probed := 0
 	for g := lo; g < hi; g++ {
 		rows := lgroups[g]

@@ -285,3 +285,67 @@ func TestParallelDirectedShapes(t *testing.T) {
 		})
 	}
 }
+
+// TestDifferentialParallelStreamingJoin: the partitioned probe feeds the
+// same output windows as the serial one, so with a builder target of a few
+// rows both must match the row engine, keep every chunk but the last at
+// exactly the target, agree on every counter, never fall back, and return
+// every borrowed token.
+func TestDifferentialParallelStreamingJoin(t *testing.T) {
+	iters := 150
+	if testing.Short() {
+		iters = 30
+	}
+	multi := 0
+	for seed := 24000; seed < 24000+iters; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		nL, nR := 20+rng.Intn(300), 1+rng.Intn(40)
+		left, right := genTable(rng, nL), genTable(rng, nR)
+		typ := table.Int
+		if rng.Intn(2) == 0 {
+			typ = table.Str
+		}
+		lk := streamKey(rng, left, "lk", typ, nL)
+		rk := streamKey(rng, right, "rk", typ, nR)
+		build := func() engine.Node {
+			return &engine.HashJoin{
+				Left:      &engine.Scan{Name: "L", Sch: left.Schema},
+				Right:     &engine.Scan{Name: "R", Sch: right.Schema},
+				LeftKeys:  []int{lk},
+				RightKeys: []int{rk},
+			}
+		}
+		target := 2 + rng.Intn(9)
+		// Several left row groups, so the probe has something to partition.
+		lopts := encOptions(rng)
+		lopts.ChunkRows = 1 + rng.Intn(32)
+		opts := map[string]encoding.Options{"L": lopts, "R": encOptions(rng)}
+		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
+		parCtx, sc := parallelCtx(vecCtx, 2+rng.Intn(7))
+		lower := func(st *Stats) ChunkedOp {
+			op, ok := LowerEnv(build(), st, &Env{Opts: encoding.Options{ChunkRows: target}}).(ChunkedOp)
+			if !ok {
+				t.Fatalf("seed %d: join did not lower to a chunked operator", seed)
+			}
+			return op
+		}
+
+		want, wantErr := build().Run(rowCtx)
+		stS, stP := &Stats{}, &Stats{}
+		gotS, chunks, errS := runStreamed(t, int64(seed), lower(stS), vecCtx, target)
+		mustEqual(t, int64(seed), "serial streaming join", want, gotS, wantErr, errS)
+		gotP, _, errP := runStreamed(t, int64(seed), lower(stP), parCtx, target)
+		mustEqual(t, int64(seed), "parallel streaming join", want, gotP, wantErr, errP)
+		mustSameStats(t, int64(seed), "streaming join", stS, stP)
+		if stS.Fallbacks != 0 {
+			t.Fatalf("seed %d: streaming join fell back %d times", seed, stS.Fallbacks)
+		}
+		mustDrain(t, int64(seed), sc)
+		if chunks >= 3 {
+			multi++
+		}
+	}
+	if multi < iters/2 {
+		t.Fatalf("only %d of %d joins emitted three or more windows", multi, iters)
+	}
+}

@@ -32,8 +32,17 @@ type Observation struct {
 	ReadTime     time.Duration `json:"read_time"`
 	WriteTime    time.Duration `json:"write_time"`
 	ComputeTime  time.Duration `json:"compute_time"`
-	When         time.Time     `json:"when"`
+	// WallTime is the node's whole execution, start to done: read,
+	// compute, encode, catalog and blocking write. Zero when not recorded.
+	WallTime time.Duration `json:"wall_time,omitempty"`
+	When     time.Time     `json:"when"`
 }
+
+// maxHistory is how many observations the store keeps per node; older
+// ones are dropped as new ones arrive. The ratio EWMAs Load rebuilds from
+// the retained ones differ from the live ones by at most
+// (1-ratioAlpha)^maxHistory times the spread of the node's ratios.
+const maxHistory = 32
 
 // ratioAlpha is the EWMA weight of the newest encoded/raw observation.
 // Compression ratios drift slowly (schema and value distributions change
@@ -60,11 +69,16 @@ func NewStore() *Store {
 	return &Store{obs: make(map[string][]Observation), ratios: make(map[string]float64)}
 }
 
-// Record appends an observation.
+// Record appends an observation, dropping the node's oldest beyond
+// maxHistory.
 func (s *Store) Record(o Observation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.obs[o.Name] = append(s.obs[o.Name], o)
+	list := append(s.obs[o.Name], o)
+	if len(list) > maxHistory {
+		list = append(list[:0], list[len(list)-maxHistory:]...)
+	}
+	s.obs[o.Name] = list
 	s.learnRatioLocked(o)
 }
 
@@ -124,7 +138,26 @@ func (s *Store) Latest(name string) (Observation, bool) {
 	return list[len(list)-1], true
 }
 
-// History returns all observations for name, oldest first.
+// MeanWall returns the mean WallTime over name's retained observations
+// that recorded one; ok is false when none did.
+func (s *Store) MeanWall(name string) (time.Duration, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sum time.Duration
+	n := 0
+	for _, o := range s.obs[name] {
+		if o.WallTime > 0 {
+			sum += o.WallTime
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / time.Duration(n), true
+}
+
+// History returns the retained observations for name, oldest first.
 func (s *Store) History(name string) []Observation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,6 +295,7 @@ func (r *Recorder) OnEvent(e obs.Event) {
 		ReadTime:     e.Read,
 		WriteTime:    e.Write,
 		ComputeTime:  e.Compute,
+		WallTime:     e.Elapsed,
 		When:         now(),
 	})
 }
@@ -278,9 +312,10 @@ func (s *Store) Save(path string) error {
 }
 
 // Load reads a store saved by Save. The learned compression ratios are not
-// serialized; they are re-derived by replaying the observation history in
+// serialized; they are re-derived by replaying the retained observations in
 // recording order (by timestamp, name-ordered within equal stamps), so the
-// reloaded EWMAs match what the live store had learned.
+// reloaded EWMAs match what the live store had learned up to the weight of
+// the dropped history (see maxHistory).
 func Load(path string) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

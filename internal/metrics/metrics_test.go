@@ -1,12 +1,14 @@
 package metrics
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
+	"github.com/shortcircuit-db/sc/internal/obs"
 )
 
 func chain() *dag.Graph {
@@ -35,6 +37,35 @@ func TestRecordAndLatest(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
+	}
+}
+
+func TestHistoryIsBounded(t *testing.T) {
+	s := NewStore()
+	for i := 1; i <= maxHistory+5; i++ {
+		s.Record(Observation{Name: "a", OutputBytes: int64(i)})
+	}
+	h := s.History("a")
+	if len(h) != maxHistory || h[0].OutputBytes != 6 {
+		t.Fatalf("History = %d entries starting at %d, want %d starting at 6", len(h), h[0].OutputBytes, maxHistory)
+	}
+	if o, _ := s.Latest("a"); o.OutputBytes != maxHistory+5 {
+		t.Fatalf("Latest = %d", o.OutputBytes)
+	}
+}
+
+func TestRecorderLearnsMeanWall(t *testing.T) {
+	s := NewStore()
+	rec := NewRecorder(s)
+	if _, ok := s.MeanWall("a"); ok {
+		t.Fatal("empty store claims a wall time")
+	}
+	rec.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Elapsed: 10 * time.Millisecond})
+	rec.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Elapsed: 30 * time.Millisecond})
+	rec.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Elapsed: time.Second, Err: errors.New("boom")})
+	s.Record(Observation{Name: "a"}) // recorded without a wall time
+	if got, ok := s.MeanWall("a"); !ok || got != 20*time.Millisecond {
+		t.Fatalf("MeanWall = %v, %v; want 20ms", got, ok)
 	}
 }
 

@@ -61,9 +61,17 @@ func TestEncodedSizesPredictsNeverObservedNodes(t *testing.T) {
 }
 
 func TestRatiosSurviveSaveLoad(t *testing.T) {
+	// Three history windows of drifting ratios, two nodes recorded every
+	// run: Save keeps only the last maxHistory per node, so the reloaded
+	// EWMAs may differ from the live ones by the weight of what was dropped.
 	s := NewStore()
-	s.Record(Observation{Name: "a", OutputBytes: 1000, EncodedBytes: 250, When: time.Now()})
-	s.Record(Observation{Name: "b", OutputBytes: 400, EncodedBytes: 100, When: time.Now()})
+	t0 := time.Date(2026, 6, 10, 12, 0, 0, 0, time.UTC)
+	for i := 0; i < 3*maxHistory; i++ {
+		when := t0.Add(time.Duration(i) * time.Minute)
+		enc := int64(100 + 700*(i%5)/4) // ratio drifts between 0.1 and 0.8
+		s.Record(Observation{Name: "a", OutputBytes: 1000, EncodedBytes: enc, When: when})
+		s.Record(Observation{Name: "b", OutputBytes: 1000, EncodedBytes: 900 - enc, When: when})
+	}
 	path := filepath.Join(t.TempDir(), "md.json")
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
@@ -72,14 +80,15 @@ func TestRatiosSurviveSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"a", "b"} {
+	tol := math.Pow(1-ratioAlpha, maxHistory)
+	for _, name := range []string{"a", "b", "never_seen"} {
 		want, _ := s.Ratio(name)
 		got, ok := re.Ratio(name)
-		if !ok || math.Abs(got-want) > 1e-9 {
-			t.Fatalf("reloaded ratio[%s] = %v, %v; want %v", name, got, ok, want)
+		if !ok || math.Abs(got-want) > tol {
+			t.Fatalf("reloaded ratio[%s] = %v, %v; want %v within %g", name, got, ok, want, tol)
 		}
 	}
-	if _, ok := re.Ratio("never_seen"); !ok {
-		t.Fatal("reloaded store lost the workload-wide ratio")
+	if n := len(re.History("a")); n != maxHistory {
+		t.Fatalf("reloaded history = %d observations, want %d", n, maxHistory)
 	}
 }

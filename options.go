@@ -139,8 +139,12 @@ func WithObserver(obs Observer) Option {
 // walk a single node's chunks in parallel, so a chain-shaped plan still
 // saturates k cores. The Memory Catalog budget remains enforced
 // byte-for-byte (outputs that no longer fit fall back to blocking writes)
-// and materialized outputs are byte-identical to a serial run. k <= 1 (the
-// default) runs nodes serially in exact plan order.
+// and materialized outputs are byte-identical to a serial run. With k > 1
+// and every MV observed by an earlier run, ready nodes start in order of
+// their learned critical path (longest learned path to the end of the DAG
+// first, ties in plan order); before that, or when the plan's flagged
+// outputs do not all fit the budget together, they start in plan order.
+// k <= 1 (the default) runs nodes serially in exact plan order.
 func WithConcurrency(k int) Option {
 	return func(c *config) {
 		if k < 1 {

@@ -235,6 +235,7 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 		Obs:          obs.Multi(metrics.NewRecorder(r.md), r.cfg.observer, col.Observer()),
 		RunID:        runID,
 		Concurrency:  r.cfg.concurrency,
+		History:      r.md,
 		Encoding:     r.cfg.encoding,
 		Vectorized:   r.cfg.vectorized,
 		ParallelScan: r.cfg.parallelScan,
