@@ -140,7 +140,7 @@ func BenchmarkOptimize100Nodes(b *testing.B) {
 	p := gen.Problem(2<<30, costmodel.PaperProfile())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sc.Optimize(p, sc.Options{}); err != nil {
+		if _, _, err := sc.Solve(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}

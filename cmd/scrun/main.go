@@ -30,7 +30,6 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/bench"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
-	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/sim"
@@ -127,12 +126,7 @@ func main() {
 	if col != nil {
 		col.Finish(time.Time{}, "")
 		spans := col.Spans()
-		parents := make(map[string][]string, len(w.Nodes))
-		for i, n := range w.Nodes {
-			for _, par := range w.G.Parents(dag.NodeID(i)) {
-				parents[n.Name] = append(parents[n.Name], w.Nodes[par].Name)
-			}
-		}
+		parents := w.G.ParentNames()
 		cp := telemetry.CriticalPath(spans, parents)
 		if *progress {
 			printCriticalPath(os.Stderr, cp)

@@ -14,7 +14,6 @@ import (
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/metrics"
 	"github.com/shortcircuit-db/sc/internal/opt"
 	"github.com/shortcircuit-db/sc/internal/sim"
 	"github.com/shortcircuit-db/sc/internal/storage"
@@ -218,26 +217,10 @@ func encodingRealRun(ctx context.Context, cfg EncodingConfig, ds *tpcds.Dataset,
 	if err != nil {
 		return nil, nil, err
 	}
-	md := metrics.NewStore()
-	for _, n := range base.Nodes {
-		md.Record(metrics.Observation{
-			Name: n.Name, OutputBytes: n.OutputBytes, EncodedBytes: n.EncodedSize,
-			ReadTime: n.ReadTime, WriteTime: n.WriteTime, ComputeTime: n.ComputeTime,
-			When: time.Now(),
-		})
-	}
+	md := observe(base)
 
 	// Optimize with the footprints this configuration actually produces.
-	raw := md.Sizes(g, 1<<20)
-	prob := &core.Problem{G: g, Memory: memory}
-	if enc != nil {
-		encSizes := md.EncodedSizes(g, 1<<20)
-		prob.Sizes = encSizes
-		prob.Scores = md.ScoresSized(g, raw, encSizes, device)
-	} else {
-		prob.Sizes = raw
-		prob.Scores = md.Scores(g, raw, device)
-	}
+	prob, _ := md.Problem(g, memory, 1<<20, device, enc != nil)
 	plan, _, err := opt.Solve(ctx, prob, opt.Options{})
 	if err != nil {
 		return nil, nil, err

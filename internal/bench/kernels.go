@@ -13,11 +13,9 @@ import (
 	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
-	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/metrics"
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/opt"
 	"github.com/shortcircuit-db/sc/internal/sim"
@@ -368,25 +366,9 @@ func kernelsRealRun(ctx context.Context, cfg KernelsConfig, ds *tpcds.Dataset, m
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	md := metrics.NewStore()
-	for _, n := range base.Nodes {
-		md.Record(metrics.Observation{
-			Name: n.Name, OutputBytes: n.OutputBytes, EncodedBytes: n.EncodedSize,
-			ReadTime: n.ReadTime, WriteTime: n.WriteTime, ComputeTime: n.ComputeTime,
-			When: time.Now(),
-		})
-	}
+	md := observe(base)
 
-	raw := md.Sizes(g, 1<<20)
-	prob := &core.Problem{G: g, Memory: memory}
-	if enc != nil {
-		encSizes := md.EncodedSizes(g, 1<<20)
-		prob.Sizes = encSizes
-		prob.Scores = md.ScoresSized(g, raw, encSizes, device)
-	} else {
-		prob.Sizes = raw
-		prob.Scores = md.Scores(g, raw, device)
-	}
+	prob, _ := md.Problem(g, memory, 1<<20, device, enc != nil)
 	plan, _, err := opt.Solve(ctx, prob, opt.Options{})
 	if err != nil {
 		return nil, nil, 0, err
@@ -421,13 +403,7 @@ func kernelsRealRun(ctx context.Context, cfg KernelsConfig, ds *tpcds.Dataset, m
 			nodes = append(nodes, KernelNodeTime{Name: name, WallSeconds: sp.Duration().Seconds()})
 		}
 	}
-	parents := make(map[string][]string, len(wl.Nodes))
-	for i, n := range wl.Nodes {
-		for _, par := range g.Parents(dag.NodeID(i)) {
-			parents[n.Name] = append(parents[n.Name], wl.Nodes[par].Name)
-		}
-	}
-	cp := telemetry.CriticalPath(spans, parents)
+	cp := telemetry.CriticalPath(spans, g.ParentNames())
 
 	var rawBytes, written int64
 	for _, n := range res.Nodes {

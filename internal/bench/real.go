@@ -89,14 +89,7 @@ func Real(ctx context.Context, w io.Writer, cfg RealConfig) error {
 	if err != nil {
 		return err
 	}
-	md := metrics.NewStore()
-	for _, n := range base.Nodes {
-		md.Record(metrics.Observation{
-			Name: n.Name, OutputBytes: n.OutputBytes,
-			ReadTime: n.ReadTime, WriteTime: n.WriteTime, ComputeTime: n.ComputeTime,
-			When: time.Now(),
-		})
-	}
+	md := observe(base)
 
 	// Optimize with observed sizes and a device profile matching the
 	// throttled store.
@@ -107,8 +100,7 @@ func Real(ctx context.Context, w io.Writer, cfg RealConfig) error {
 	if cfg.ReadBW == 0 {
 		device = costmodel.PaperProfile()
 	}
-	sizes := md.Sizes(g, 1<<20)
-	prob := &core.Problem{G: g, Sizes: sizes, Scores: md.Scores(g, sizes, device), Memory: memory}
+	prob, _ := md.Problem(g, memory, 1<<20, device, false)
 	plan, st, err := opt.Solve(ctx, prob, opt.Options{})
 	if err != nil {
 		return err
@@ -175,4 +167,18 @@ func verifySameOutputs(a, b storage.Store, g *dag.Graph) error {
 		}
 	}
 	return nil
+}
+
+// observe learns a pass's per-node metrics as execution metadata, the way
+// a recurring session would have recorded them.
+func observe(res *exec.RunResult) *metrics.Store {
+	md := metrics.NewStore()
+	for _, n := range res.Nodes {
+		md.Record(metrics.Observation{
+			Name: n.Name, OutputBytes: n.OutputBytes, EncodedBytes: n.EncodedSize,
+			ReadTime: n.ReadTime, WriteTime: n.WriteTime, ComputeTime: n.ComputeTime,
+			When: time.Now(),
+		})
+	}
+	return md
 }

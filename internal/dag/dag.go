@@ -103,6 +103,19 @@ func (g *Graph) Children(id NodeID) []NodeID { return g.children[id] }
 // must not be modified.
 func (g *Graph) Parents(id NodeID) []NodeID { return g.parents[id] }
 
+// ParentNames maps each node's name to the names of its direct producers,
+// the shape critical-path analysis and the ledger consume. Roots have no
+// entry.
+func (g *Graph) ParentNames() map[string][]string {
+	out := make(map[string][]string, len(g.names))
+	for i, name := range g.names {
+		for _, par := range g.parents[i] {
+			out[name] = append(out[name], g.names[par])
+		}
+	}
+	return out
+}
+
 // HasEdge reports whether the edge (parent, child) exists.
 func (g *Graph) HasEdge(parent, child NodeID) bool {
 	_, ok := g.edgeSet[[2]NodeID{parent, child}]

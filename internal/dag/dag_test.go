@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -137,6 +138,14 @@ func TestReachableAndAncestors(t *testing.T) {
 	}
 	if len(g.Ancestors(0)) != 0 {
 		t.Fatal("root should have no ancestors")
+	}
+}
+
+func TestParentNames(t *testing.T) {
+	got := diamond(t).ParentNames()
+	want := map[string][]string{"b": {"a"}, "c": {"a"}, "d": {"b", "c"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParentNames = %v, want %v", got, want)
 	}
 }
 

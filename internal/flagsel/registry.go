@@ -18,11 +18,6 @@ func New(name string, seed int64) (Selector, error) { return reg.New(name, seed)
 // Names lists registered selector names, sorted.
 func Names() []string { return reg.Names() }
 
-// ByName returns the named selector.
-//
-// Deprecated: ByName is kept for old call sites; use New.
-func ByName(name string, seed int64) (Selector, error) { return New(name, seed) }
-
 func init() {
 	Register("mkp", func(int64) Selector { return MKP{} })
 	Register("greedy", func(int64) Selector { return Greedy{} })

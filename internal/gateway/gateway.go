@@ -1,7 +1,9 @@
 // Package gateway is the multi-tenant refresh gateway: a server hosting
 // many named MV pipelines over ONE shared Memory Catalog budget. Each
-// registered pipeline keeps its own metrics store, session dictionary
-// cache and storage namespace; every refresh trigger is re-planned from
+// registered pipeline is a run core (internal/pipeline) with its own
+// metrics store, session dictionary cache and storage namespace; the
+// gateway adds HTTP, admission, cron, Prometheus and the run state
+// machine around it. Every refresh trigger is re-planned from
 // the pipeline's observed execution metadata, its predicted peak catalog
 // footprint is reserved against the tenant's slice and the global pool by
 // the admission controller, and only then does the refresh run. Triggers
@@ -17,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
@@ -27,9 +28,9 @@ import (
 	"github.com/shortcircuit-db/sc/internal/introspect/alert"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/metrics"
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/opt"
+	"github.com/shortcircuit-db/sc/internal/pipeline"
 	"github.com/shortcircuit-db/sc/internal/sched"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
@@ -99,7 +100,8 @@ type Config struct {
 	// startup, so baselines survive restarts. "" keeps the run ledger in
 	// memory only.
 	LedgerPath string
-	// LedgerCapacity bounds the in-memory run-history ring. Default 512.
+	// LedgerCapacity bounds the in-memory run-history ring, and with it the
+	// finished runs the gateway keeps addressable by ID. Default 512.
 	LedgerCapacity int
 	// SLOSeconds is the refresh-latency objective /v1/pipelines/{p}/health
 	// reports attainment against. Default 60.
@@ -196,20 +198,12 @@ func TPCDSSpec(name, tenant string, sf float64) PipelineSpec {
 	return spec
 }
 
-// pipeline is one registered refresh DAG with its per-pipeline state.
-type pipeline struct {
-	name       string
-	tenant     string
-	workload   *exec.Workload
-	graph      *dag.Graph
-	parents    map[string][]string // node name -> DAG parent names (critical path)
-	store      storage.Store
-	md         *metrics.Store
-	session    *chunkio.Session
-	encOpts    *encoding.Options
-	vectorized bool
-	every      time.Duration
-	created    time.Time
+// hosted is one registered pipeline: the shared run core plus what the
+// gateway schedules it by.
+type hosted struct {
+	*pipeline.Pipeline
+	tenant string
+	every  time.Duration
 
 	mu        sync.Mutex
 	nextFire  time.Time
@@ -245,11 +239,11 @@ type Run struct {
 	predictedWall float64 // ledger-learned wall seconds, 0 without history
 	learnedNeed   bool    // need came from observed peaks, not the planner
 
-	events  *eventBuf
-	done    chan struct{} // closed on any terminal state
-	tkt     *ticket
-	trace   *telemetry.Collector // nil when tracing is disabled
-	parents map[string][]string  // pipeline DAG shape, for critical-path analysis
+	events *eventBuf
+	done   chan struct{} // closed on any terminal state
+	tkt    *ticket
+	trace  *telemetry.Collector // nil when tracing is disabled
+	pipe   *pipeline.Pipeline   // the run core it refreshes
 
 	mu         sync.Mutex
 	state      string
@@ -306,9 +300,7 @@ func (r *Run) Traceparent() string {
 }
 
 // Status snapshots the run.
-func (r *Run) Status() RunStatus { return r.status() }
-
-func (r *Run) status() RunStatus {
+func (r *Run) Status() RunStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := RunStatus{
@@ -363,14 +355,7 @@ type Server struct {
 	adm    *admitter
 	prom   *prom
 	device costmodel.DeviceProfile
-	led    *ledger.Ledger
-	alerts *alert.Notifier // nil without AlertWebhook
-
-	// lastVerdict tracks each pipeline's health verdict so notifyRun can
-	// alert on transitions, not states. Own mutex: read on the run finish
-	// path, which must not contend with s.mu.
-	verMu       sync.Mutex
-	lastVerdict map[string]string
+	fin    pipeline.Finisher // the ledger every run lands in, alerts, export
 
 	// evlog is the server-wide eviction timeline, harvested from run
 	// catalogs as they detach (bounded at serverEvLogCap, oldest dropped).
@@ -379,17 +364,13 @@ type Server struct {
 	evSeen int64
 
 	mu        sync.Mutex
-	pipelines map[string]*pipeline
+	pipelines map[string]*hosted
 	runs      map[string]*Run
-	runSeq    int64
-
-	// lastNodeSpans remembers, per pipeline, each node's span from the most
-	// recent finished trace, so a later run that reuses cached state (a
-	// session dictionary, a surviving catalog entry) can link back to the
-	// producing span. Guarded by its own mutex: the resolver runs inside
-	// collector callbacks and must not contend with s.mu.
-	linkMu        sync.Mutex
-	lastNodeSpans map[string]map[string]telemetry.SpanContext
+	// finished lists terminal runs oldest first. It never outgrows the
+	// ledger ring, so a finished run stays addressable exactly while the
+	// ring holds its summary.
+	finished []string
+	runSeq   int64
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -418,21 +399,24 @@ func NewServer(cfg Config) (*Server, error) {
 	// bytes) rides the same global budget the catalog pool enforces.
 	tok := sched.New(cfg.SchedTokens, cfg.GlobalBudget)
 	s := &Server{
-		cfg:           cfg,
-		pool:          pool,
-		sched:         tok,
-		adm:           newAdmitter(pool, tok, cfg.QueueLimit, cfg.Clock),
-		prom:          newProm(),
-		device:        costmodel.PaperProfile(),
-		led:           led,
-		pipelines:     make(map[string]*pipeline),
-		runs:          make(map[string]*Run),
-		lastNodeSpans: make(map[string]map[string]telemetry.SpanContext),
-		lastVerdict:   make(map[string]string),
-		stopCh:        make(chan struct{}),
+		cfg:    cfg,
+		pool:   pool,
+		sched:  tok,
+		adm:    newAdmitter(pool, tok, cfg.QueueLimit, cfg.Clock),
+		prom:   newProm(),
+		device: costmodel.PaperProfile(),
+		fin: pipeline.Finisher{
+			Ledger:     led,
+			Exporter:   cfg.TraceExporter,
+			TailSample: cfg.TailSample,
+			Health:     ledger.HealthConfig{SLOSeconds: cfg.SLOSeconds},
+		},
+		pipelines: make(map[string]*hosted),
+		runs:      make(map[string]*Run),
+		stopCh:    make(chan struct{}),
 	}
 	if cfg.AlertWebhook != "" {
-		s.alerts = alert.New(alert.Config{
+		s.fin.Alerts = alert.New(alert.Config{
 			URL:      cfg.AlertWebhook,
 			Cooldown: cfg.AlertCooldown,
 			Now:      cfg.Clock,
@@ -448,8 +432,14 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) Close() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.wg.Wait()
+	// Snapshot first: canceling a queued run retires it, which takes s.mu.
 	s.mu.Lock()
+	runs := make([]*Run, 0, len(s.runs))
 	for _, r := range s.runs {
+		runs = append(runs, r)
+	}
+	s.mu.Unlock()
+	for _, r := range runs {
 		r.mu.Lock()
 		if r.state == StateRunning && r.cancelRun != nil {
 			r.cancelRun()
@@ -460,12 +450,11 @@ func (s *Server) Close() {
 			s.cancelIfQueued(r, tkt)
 		}
 	}
-	s.mu.Unlock()
 	s.runWG.Wait()
-	if s.alerts != nil {
-		s.alerts.Close() // after runWG: every finish path has notified
+	if s.fin.Alerts != nil {
+		s.fin.Alerts.Close() // after runWG: every finish path has notified
 	}
-	_ = s.led.Close()
+	_ = s.fin.Ledger.Close()
 }
 
 // schedulerLoop reaps queue deadlines and fires cron triggers.
@@ -517,40 +506,29 @@ func (s *Server) Register(spec PipelineSpec) error {
 	if spec.Tenant == "" {
 		spec.Tenant = "default"
 	}
-	w := &exec.Workload{}
-	for _, mv := range spec.MVs {
-		w.Nodes = append(w.Nodes, exec.NodeSpec{Name: mv.Name, SQL: mv.SQL})
+	cfg := pipeline.Config{
+		Name:       spec.Name,
+		Store:      s.cfg.NewStore(spec.Name),
+		Vectorized: spec.Vectorized,
+		DictCache:  true,
 	}
-	g, _, err := w.BuildGraph()
+	for _, mv := range spec.MVs {
+		cfg.MVs = append(cfg.MVs, exec.NodeSpec{Name: mv.Name, SQL: mv.SQL})
+	}
+	if spec.Encoding {
+		cfg.Encoding = &encoding.Options{}
+	}
+	pipe, err := pipeline.New(cfg)
 	if err != nil {
 		return err
 	}
-	parents := make(map[string][]string, len(w.Nodes))
-	for i, n := range w.Nodes {
-		for _, par := range g.Parents(dag.NodeID(i)) {
-			parents[n.Name] = append(parents[n.Name], w.Nodes[par].Name)
-		}
-	}
-	p := &pipeline{
-		name:       spec.Name,
-		tenant:     spec.Tenant,
-		workload:   w,
-		graph:      g,
-		parents:    parents,
-		store:      s.cfg.NewStore(spec.Name),
-		md:         metrics.NewStore(),
-		vectorized: spec.Vectorized,
-		every:      spec.Every,
-		created:    s.cfg.Clock(),
-	}
-	if spec.Encoding {
-		p.encOpts = &encoding.Options{}
-	}
-	if spec.Vectorized {
-		p.session = chunkio.NewSession()
+	p := &hosted{
+		Pipeline: pipe,
+		tenant:   spec.Tenant,
+		every:    spec.Every,
 	}
 	if p.every > 0 {
-		p.nextFire = p.created.Add(p.every)
+		p.nextFire = s.cfg.Clock().Add(p.every)
 	}
 	if err := s.seed(p, spec); err != nil {
 		return err
@@ -571,10 +549,10 @@ func (s *Server) Register(spec PipelineSpec) error {
 
 // seed writes the spec's base tables into the pipeline's store, chunked
 // when the pipeline runs with encoding so the kernels can engage.
-func (s *Server) seed(p *pipeline, spec PipelineSpec) error {
+func (s *Server) seed(p *hosted, spec PipelineSpec) error {
 	save := func(st storage.Store, name string, t *table.Table) error {
-		if p.encOpts != nil {
-			return exec.SaveTableChunked(st, name, t, *p.encOpts)
+		if p.Encoding != nil {
+			return exec.SaveTableChunked(st, name, t, *p.Encoding)
 		}
 		return exec.SaveTable(st, name, t)
 	}
@@ -583,12 +561,12 @@ func (s *Server) seed(p *pipeline, spec PipelineSpec) error {
 		if err != nil {
 			return err
 		}
-		if err := ds.Save(p.store, save); err != nil {
+		if err := ds.Save(p.Store, save); err != nil {
 			return err
 		}
 	}
 	for name, t := range spec.Tables {
-		if err := save(p.store, name, t); err != nil {
+		if err := save(p.Store, name, t); err != nil {
 			return err
 		}
 	}
@@ -620,17 +598,17 @@ type PipelineInfo struct {
 	SliceBytes   int64    `json:"tenant_slice_bytes"`
 }
 
-func (s *Server) info(p *pipeline) PipelineInfo {
-	mvs := make([]string, 0, len(p.workload.Nodes))
-	for _, n := range p.workload.Nodes {
+func (s *Server) info(p *hosted) PipelineInfo {
+	mvs := make([]string, 0, len(p.Workload.Nodes))
+	for _, n := range p.Workload.Nodes {
 		mvs = append(mvs, n.Name)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PipelineInfo{
-		Name: p.name, Tenant: p.tenant, MVs: mvs,
+		Name: p.Name, Tenant: p.tenant, MVs: mvs,
 		EverySeconds: p.every.Seconds(),
-		Encoding:     p.encOpts != nil, Vectorized: p.vectorized,
+		Encoding:     p.Encoding != nil, Vectorized: p.Vectorized,
 		Runs: p.runsTotal, LastRunID: p.lastRunID,
 		SliceBytes: s.adm.tenantSlice(p.tenant),
 	}
@@ -638,19 +616,28 @@ func (s *Server) info(p *pipeline) PipelineInfo {
 
 // Pipeline returns one pipeline's snapshot.
 func (s *Server) Pipeline(name string) (PipelineInfo, error) {
+	p, err := s.lookup(name)
+	if err != nil {
+		return PipelineInfo{}, err
+	}
+	return s.info(p), nil
+}
+
+// lookup returns a registered pipeline, or ErrNotFound.
+func (s *Server) lookup(name string) (*hosted, error) {
 	s.mu.Lock()
 	p, ok := s.pipelines[name]
 	s.mu.Unlock()
 	if !ok {
-		return PipelineInfo{}, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
 	}
-	return s.info(p), nil
+	return p, nil
 }
 
 // Pipelines lists all pipeline snapshots.
 func (s *Server) Pipelines() []PipelineInfo {
 	s.mu.Lock()
-	ps := make([]*pipeline, 0, len(s.pipelines))
+	ps := make([]*hosted, 0, len(s.pipelines))
 	for _, p := range s.pipelines {
 		ps = append(ps, p)
 	}
@@ -680,9 +667,9 @@ type planned struct {
 // knapsack solved against the tenant slice, and the plan's peak usage
 // inflated by the headroom factor. Every trigger replans, so the gateway
 // IS the paper's observe → re-optimize loop.
-func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) {
+func (s *Server) planTrigger(ctx context.Context, p *hosted) (planned, error) {
 	slice := s.adm.tenantSlice(p.tenant)
-	prob, _ := s.buildProblem(p)
+	prob, _ := p.Problem(slice, s.cfg.SizeGuess, s.device)
 	plan, _, err := opt.Solve(ctx, prob, opt.Options{})
 	if err != nil {
 		return planned{}, err
@@ -703,7 +690,7 @@ func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) 
 	// what the planner proved admissible — and a miss merely degrades to
 	// blocking writes, which the mispredict detector flags and the next
 	// runs' learning corrects.
-	if hint, ok := s.led.AdmissionHint(p.name); ok {
+	if hint, ok := s.fin.Ledger.AdmissionHint(p.Name); ok {
 		learned := int64((hint.PeakBytesMean + hint.PeakBytesSigma) * s.cfg.Headroom)
 		if learned > 0 && learned < pl.need {
 			pl.need = learned
@@ -714,7 +701,7 @@ func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) 
 		// the DAG's critical path through EWMA node means — that tracks the
 		// workload's shape where the run-level mean only tracks its history.
 		// Prefer it whenever enough per-node history exists.
-		if cp := s.led.CriticalPathSeconds(p.name, p.parents); cp > 0 {
+		if cp := s.fin.Ledger.CriticalPathSeconds(p.Name, p.Parents); cp > 0 {
 			pl.predictedWall = cp
 		}
 	}
@@ -731,11 +718,9 @@ func (s *Server) Trigger(name string) (*Run, error) {
 // valid (a client's W3C traceparent), the run's root span joins that trace
 // instead of starting a new one.
 func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, error) {
-	s.mu.Lock()
-	p, ok := s.pipelines[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+	p, err := s.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	pl, err := s.planTrigger(context.Background(), p)
 	if err != nil {
@@ -746,7 +731,7 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 	s.runSeq++
 	r := &Run{
 		id:            fmt.Sprintf("run-%06d", s.runSeq),
-		pipeline:      p.name,
+		pipeline:      p.Name,
 		tenant:        p.tenant,
 		need:          pl.need,
 		tokens:        s.cfg.Concurrency,
@@ -754,9 +739,10 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 		learnedNeed:   pl.learnedNeed,
 		events:        newEventBuf(),
 		done:          make(chan struct{}),
+		pipe:          p.Pipeline,
 		state:         StateQueued,
+		enqueuedAt:    now,
 	}
-	r.enqueuedAt = now
 	if !s.cfg.DisableTracing {
 		// The root span opens at enqueue, so queue wait is on the trace.
 		r.trace = telemetry.NewCollector(telemetry.CollectorConfig{
@@ -764,10 +750,10 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 			Parent:       parent,
 			Start:        now,
 			Profile:      true,
-			LinkResolver: s.nodeSpanResolver(p.name),
+			LinkResolver: p.LastNodeSpan,
 		})
 		attrs := []telemetry.Attr{
-			telemetry.Str("sc.pipeline", p.name),
+			telemetry.Str("sc.pipeline", p.Name),
 			telemetry.Str("sc.tenant", p.tenant),
 			telemetry.Int("sc.reserved_bytes", pl.need),
 			telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
@@ -776,14 +762,13 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 			attrs = append(attrs, telemetry.Float("sc.predicted_seconds", pl.predictedWall))
 		}
 		r.trace.SetRootAttrs(attrs...)
-		r.parents = p.parents
 	}
 	s.runs[r.id] = r
 	s.mu.Unlock()
 
 	r.tkt = &ticket{
 		tenant:   p.tenant,
-		pipeline: p.name,
+		pipeline: p.Name,
 		need:     pl.need,
 		tokens:   r.tokens,
 		deadline: now.Add(s.cfg.QueueTimeout),
@@ -808,7 +793,7 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 
 // startRun is the admitter's start callback: the reservation is held; move
 // the run to running and execute it on its own goroutine.
-func (s *Server) startRun(r *Run, p *pipeline, plan *core.Plan) {
+func (s *Server) startRun(r *Run, p *hosted, plan *core.Plan) {
 	now := s.cfg.Clock()
 	r.mu.Lock()
 	if r.state != StateQueued {
@@ -847,26 +832,20 @@ func (s *Server) startRun(r *Run, p *pipeline, plan *core.Plan) {
 // execute runs one admitted refresh: a per-run catalog attached to the
 // shared pool, capacity exactly the reservation, so the pool-wide bound
 // holds byte-for-byte no matter what the run does.
-func (s *Server) execute(ctx context.Context, r *Run, p *pipeline, plan *core.Plan) {
+func (s *Server) execute(ctx context.Context, r *Run, p *hosted, plan *core.Plan) {
 	cat := s.pool.NewCatalog(r.need)
 	r.mu.Lock()
 	r.cat = cat
 	r.mu.Unlock()
 
-	ctl := &exec.Controller{
-		Store:        p.store,
+	res, runErr := p.Run(ctx, plan, pipeline.RunOptions{
 		Mem:          cat,
-		Obs:          obs.Multi(metrics.NewRecorder(p.md), r.events, s.prom.runObserver(r.tenant, r.pipeline), r.trace.Observer()),
-		RunID:        r.id,
-		Concurrency:  s.cfg.Concurrency,
-		History:      p.md,
 		Sched:        s.sched,
+		Concurrency:  s.cfg.Concurrency,
 		ParallelScan: s.cfg.ParallelScan,
-		Encoding:     p.encOpts,
-		Vectorized:   p.vectorized,
-		Chunked:      p.session,
-	}
-	res, runErr := ctl.Run(ctx, p.workload, p.graph, plan)
+		RunID:        r.id,
+		Observers:    []obs.Observer{r.events, s.prom.runObserver(r.tenant, r.pipeline), r.trace.Observer()},
+	})
 
 	actualPeak := cat.Peak() // before Detach zeroes the accounting
 	s.harvestEvictions(r, cat)
@@ -874,13 +853,7 @@ func (s *Server) execute(ctx context.Context, r *Run, p *pipeline, plan *core.Pl
 	s.adm.finish(r.tenant, r.pipeline, r.need, r.tokens)
 
 	now := s.cfg.Clock()
-	state := StateSucceeded
-	switch {
-	case runErr != nil && errors.Is(runErr, context.Canceled):
-		state = StateCanceled
-	case runErr != nil:
-		state = StateFailed
-	}
+	state := pipeline.Outcome(runErr)
 	r.mu.Lock()
 	r.state = state
 	r.finishedAt = now
@@ -907,112 +880,71 @@ func (s *Server) execute(ctx context.Context, r *Run, p *pipeline, plan *core.Pl
 	p.runsTotal++
 	p.mu.Unlock()
 
-	s.finishTrace(r, now, state)
-	s.prom.refreshes.add(1, r.tenant, r.pipeline, state)
 	exemplar := ""
 	if r.trace != nil {
 		exemplar = fmt.Sprintf("trace_id=%q", r.trace.Context().TraceID.String())
 	}
 	s.prom.refreshSeconds.observeExemplar(now.Sub(r.enqueuedAt).Seconds(), exemplar, r.tenant, r.pipeline)
-	r.events.close()
-	close(r.done)
+	s.finish(r, now, state)
 }
 
-// finishTrace ends the run's observability lifecycle: it closes the root
-// span at the terminal state, summarizes the run into the ledger (which
-// judges it against the pipeline's learned baselines), remembers node
-// spans for future cross-run links, and — when TailSample is on — exports
-// the trace only if the ledger's decision says it is worth keeping.
-func (s *Server) finishTrace(r *Run, now time.Time, state string) {
-	var spans []telemetry.Span
+// finish ends a run that reached its terminal state: the run core's
+// finisher closes the trace, judges the ledger summary against the
+// pipeline's baselines, alerts and tail-samples the export; then the run
+// is retired — it stays addressable only while the ledger ring holds its
+// summary — and its waiters wake.
+func (s *Server) finish(r *Run, now time.Time, state string) {
+	st := r.Status()
 	if r.trace != nil {
-		r.mu.Lock()
-		errMsg := r.errMsg
-		actualPeak := r.actualPeak
-		r.mu.Unlock()
-		if errMsg == "" && state != StateSucceeded {
-			errMsg = state
-		}
 		r.trace.SetRootAttrs(
 			telemetry.Str("sc.state", state),
-			telemetry.Int("sc.actual_peak_bytes", actualPeak),
+			telemetry.Int("sc.actual_peak_bytes", st.ActualPeakBytes),
 		)
-		r.trace.Finish(now, errMsg)
-		spans = r.trace.Spans()
-		s.rememberNodeSpans(r.pipeline, spans)
 	}
-	st := r.status()
-	sum, dec := s.led.Append(ledger.Summarize(spans, r.parents, ledger.Meta{
+	_, sum, sampled := s.fin.Finish(r.pipe, r.trace, now, ledger.Meta{
 		RunID: r.id, Pipeline: r.pipeline, Tenant: r.tenant, Outcome: state,
 		Start:       st.EnqueuedAt,
 		WallSeconds: st.ElapsedSeconds, QueueWaitSeconds: st.QueueWaitSeconds,
 		ReservedBytes: st.ReservedBytes, ActualPeakBytes: st.ActualPeakBytes,
 		FallbackWrites: st.FallbackWrites,
 		EventsDropped:  st.EventsDropped, Err: st.Error,
-	}))
+	})
 	for _, a := range sum.Anomalies {
 		s.prom.anomalies.add(1, r.pipeline, a.Kind)
 	}
-	s.notifyRun(r, sum)
 	if st.EventsDropped > 0 {
 		s.prom.eventsDropped.add(float64(st.EventsDropped), r.tenant, r.pipeline)
 	}
-	if r.trace != nil && s.cfg.TraceExporter != nil {
-		if !s.cfg.TailSample || dec.Keep {
-			s.cfg.TraceExporter.Export(spans)
-			s.prom.traceSampled.add(1, "kept")
-		} else {
-			s.prom.traceSampled.add(1, "dropped")
-		}
+	if sampled != "" {
+		s.prom.traceSampled.add(1, sampled)
 	}
-}
-
-// rememberNodeSpans updates the pipeline's node → span map from a
-// finished trace, feeding the cross-run link resolver.
-func (s *Server) rememberNodeSpans(pipeline string, spans []telemetry.Span) {
-	s.linkMu.Lock()
-	defer s.linkMu.Unlock()
-	m := s.lastNodeSpans[pipeline]
-	if m == nil {
-		m = make(map[string]telemetry.SpanContext)
-		s.lastNodeSpans[pipeline] = m
+	s.prom.refreshes.add(1, r.tenant, r.pipeline, state)
+	s.mu.Lock()
+	s.finished = append(s.finished, r.id)
+	for len(s.finished) > s.cfg.LedgerCapacity {
+		delete(s.runs, s.finished[0])
+		s.finished = s.finished[1:]
 	}
-	for _, sp := range spans {
-		if node := sp.StrAttr(telemetry.AttrNode); node != "" {
-			m[node] = telemetry.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID, Sampled: true}
-		}
-	}
-}
-
-// nodeSpanResolver maps a node to its span in the pipeline's previous run,
-// for cross-run cache-reuse links.
-func (s *Server) nodeSpanResolver(pipeline string) func(string) (telemetry.SpanContext, bool) {
-	return func(node string) (telemetry.SpanContext, bool) {
-		s.linkMu.Lock()
-		defer s.linkMu.Unlock()
-		sc, ok := s.lastNodeSpans[pipeline][node]
-		return sc, ok
-	}
+	s.mu.Unlock()
+	r.events.close()
+	close(r.done)
 }
 
 // Ledger exposes the run-history store (history endpoints, the bench).
-func (s *Server) Ledger() *ledger.Ledger { return s.led }
+func (s *Server) Ledger() *ledger.Ledger { return s.fin.Ledger }
 
 // RunHistory returns retained run summaries, newest first.
 func (s *Server) RunHistory(f ledger.Filter) []ledger.RunSummary {
-	return s.led.Runs(f)
+	return s.fin.Ledger.Runs(f)
 }
 
 // PipelineHealth reports SLO attainment, baseline-vs-latest per node and
 // regressions for one registered pipeline over the ledger window.
 func (s *Server) PipelineHealth(name string) (ledger.Health, error) {
-	s.mu.Lock()
-	_, ok := s.pipelines[name]
-	s.mu.Unlock()
-	if !ok {
-		return ledger.Health{}, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+	if _, err := s.lookup(name); err != nil {
+		return ledger.Health{}, err
 	}
-	return s.led.Health(name, ledger.HealthConfig{SLOSeconds: s.cfg.SLOSeconds}), nil
+	return s.fin.Ledger.Health(name, s.fin.Health), nil
 }
 
 // expireRun is the admitter's expire callback: the queue deadline passed.
@@ -1026,11 +958,8 @@ func (s *Server) expireRun(r *Run) {
 	r.state = StateExpired
 	r.finishedAt = now
 	r.mu.Unlock()
-	s.finishTrace(r, now, StateExpired)
 	s.prom.triggers.add(1, "expired")
-	s.prom.refreshes.add(1, r.tenant, r.pipeline, StateExpired)
-	r.events.close()
-	close(r.done)
+	s.finish(r, now, StateExpired)
 }
 
 // cancelIfQueued finalizes a still-queued run as canceled. Returns whether
@@ -1046,10 +975,7 @@ func (s *Server) cancelIfQueued(r *Run, tkt *ticket) bool {
 	r.finishedAt = now
 	r.mu.Unlock()
 	tkt.markCanceled()
-	s.finishTrace(r, now, StateCanceled)
-	s.prom.refreshes.add(1, r.tenant, r.pipeline, StateCanceled)
-	r.events.close()
-	close(r.done)
+	s.finish(r, now, StateCanceled)
 	return true
 }
 
@@ -1061,15 +987,13 @@ func (s *Server) cancelIfQueued(r *Run, tkt *ticket) bool {
 // "canceled", or "succeeded" when every node had already executed. A run
 // already terminal is reported as it is.
 func (s *Server) CancelRun(id string) (RunStatus, error) {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
-	if !ok {
-		return RunStatus{}, fmt.Errorf("%w: run %q", ErrNotFound, id)
+	r, err := s.runHandle(id)
+	if err != nil {
+		return RunStatus{}, err
 	}
 	if s.cancelIfQueued(r, r.tkt) {
 		s.adm.reap()
-		return r.status(), nil
+		return r.Status(), nil
 	}
 	r.mu.Lock()
 	if r.state == StateRunning && r.cancelRun != nil {
@@ -1077,18 +1001,16 @@ func (s *Server) CancelRun(id string) (RunStatus, error) {
 		r.canceling = true
 	}
 	r.mu.Unlock()
-	return r.status(), nil
+	return r.Status(), nil
 }
 
 // Run returns a run's snapshot.
 func (s *Server) Run(id string) (RunStatus, error) {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
-	if !ok {
-		return RunStatus{}, fmt.Errorf("%w: run %q", ErrNotFound, id)
+	r, err := s.runHandle(id)
+	if err != nil {
+		return RunStatus{}, err
 	}
-	return r.status(), nil
+	return r.Status(), nil
 }
 
 // TraceReport is a run's trace with its critical-path analysis — the body
@@ -1118,7 +1040,7 @@ func (s *Server) RunTrace(id string) (TraceReport, error) {
 		return TraceReport{}, fmt.Errorf("%w: run %q has no trace (tracing disabled)", ErrNotFound, id)
 	}
 	spans := r.trace.Spans()
-	st := r.status()
+	st := r.Status()
 	return TraceReport{
 		RunID:        r.id,
 		Pipeline:     r.pipeline,
@@ -1126,7 +1048,7 @@ func (s *Server) RunTrace(id string) (TraceReport, error) {
 		TraceID:      spans[0].TraceID.String(),
 		Traceparent:  r.trace.Context().Traceparent(),
 		Complete:     r.trace.Finished(),
-		CriticalPath: telemetry.CriticalPath(spans, r.parents),
+		CriticalPath: telemetry.CriticalPath(spans, r.pipe.Parents),
 		Spans:        telemetry.SpansToJSON(spans),
 	}, nil
 }
@@ -1146,24 +1068,15 @@ func (s *Server) runHandle(id string) (*Run, error) {
 // QueryMV reads a materialized view from the pipeline's store. limit <= 0
 // returns all rows.
 func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, error) {
-	s.mu.Lock()
-	p, ok := s.pipelines[pipelineName]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, pipelineName)
+	p, err := s.lookup(pipelineName)
+	if err != nil {
+		return nil, err
 	}
-	known := false
-	for _, n := range p.workload.Nodes {
-		if n.Name == mv {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if p.Graph.Lookup(mv) == dag.Invalid {
 		return nil, fmt.Errorf("%w: mv %q in pipeline %q", ErrNotFound, mv, pipelineName)
 	}
 	start := time.Now()
-	t, err := exec.LoadTable(p.store, mv)
+	t, err := exec.LoadTable(p.Store, mv)
 	if err != nil {
 		return nil, fmt.Errorf("%w: mv %q not materialized yet", ErrNotFound, mv)
 	}
@@ -1267,18 +1180,18 @@ func (s *Server) registerGauges() {
 		})
 	s.prom.addGauge("scserve_ledger_runs",
 		"Run summaries retained in the ledger ring.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.led.Len())}}
+			return []gaugeSample{{v: float64(s.fin.Ledger.Len())}}
 		})
 	s.prom.addGauge("scserve_ledger_evicted_total",
 		"Run summaries evicted from the bounded ledger ring.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.led.Evicted())}}
+			return []gaugeSample{{v: float64(s.fin.Ledger.Evicted())}}
 		})
 	s.prom.addGauge("scserve_mispredict_ratio",
 		"Learned mean |reserved-actual|/reserved of admission reservations.",
 		[]string{"pipeline"}, func() []gaugeSample {
 			var out []gaugeSample
-			for _, p := range s.led.Pipelines() {
-				out = append(out, gaugeSample{lvs: []string{p}, v: s.led.MispredictRatio(p)})
+			for _, p := range s.fin.Ledger.Pipelines() {
+				out = append(out, gaugeSample{lvs: []string{p}, v: s.fin.Ledger.MispredictRatio(p)})
 			}
 			return out
 		})
@@ -1308,23 +1221,17 @@ func (s *Server) registerGauges() {
 			s.evMu.Lock()
 			n := s.evSeen
 			s.evMu.Unlock()
-			s.mu.Lock()
-			for _, r := range s.runs {
-				r.mu.Lock()
-				if r.cat != nil {
-					n += r.cat.EvictionsSeen()
-				}
-				r.mu.Unlock()
+			for _, lc := range s.liveCatalogs() {
+				n += lc.cat.EvictionsSeen()
 			}
-			s.mu.Unlock()
 			return []gaugeSample{{v: float64(n)}}
 		})
 	s.prom.addGauge("scserve_alerts_total",
 		"Alert webhook delivery outcomes.", []string{"outcome"}, func() []gaugeSample {
-			if s.alerts == nil {
+			if s.fin.Alerts == nil {
 				return nil
 			}
-			st := s.alerts.Stats()
+			st := s.fin.Alerts.Stats()
 			return []gaugeSample{
 				{lvs: []string{"delivered"}, v: float64(st.Delivered)},
 				{lvs: []string{"dropped"}, v: float64(st.Dropped)},
@@ -1335,15 +1242,9 @@ func (s *Server) registerGauges() {
 	s.prom.addGauge("scserve_tenant_catalog_bytes",
 		"Bytes resident in a tenant's live run catalogs.", []string{"tenant"}, func() []gaugeSample {
 			used := make(map[string]float64)
-			s.mu.Lock()
-			for _, r := range s.runs {
-				r.mu.Lock()
-				if r.cat != nil {
-					used[r.tenant] += float64(r.cat.Used())
-				}
-				r.mu.Unlock()
+			for _, lc := range s.liveCatalogs() {
+				used[lc.run.tenant] += float64(lc.cat.Used())
 			}
-			s.mu.Unlock()
 			var out []gaugeSample
 			for _, t := range s.tenantNames() {
 				out = append(out, gaugeSample{lvs: []string{t}, v: used[t]})

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -276,7 +277,7 @@ func TestGatewayCancelQueuedRun(t *testing.T) {
 	}
 	gs.open()
 	<-r1.done
-	if end := r1.status().State; end != StateCanceled && end != StateSucceeded {
+	if end := r1.Status().State; end != StateCanceled && end != StateSucceeded {
 		t.Fatalf("held run ended %q after cancel", end)
 	}
 	if s.pool.Reserved() != 0 || s.pool.Used() != 0 {
@@ -522,5 +523,58 @@ func TestRegisterWorkloadShortcut(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown workload: code %d", resp.StatusCode)
+	}
+}
+
+// TestGatewayForgetsFinishedRuns pins the retention bound: a finished run
+// stays addressable only while the ledger ring holds its summary, so a
+// long-lived gateway keeps at most LedgerCapacity finished runs (with their
+// event buffers and trace collectors) instead of every trigger ever made.
+func TestGatewayForgetsFinishedRuns(t *testing.T) {
+	s, ts := newTestGateway(t, Config{LedgerCapacity: 4})
+	if err := s.Register(PipelineSpec{
+		Name: "p", Tenant: "t",
+		MVs:    pipelineRequest("", "").MVs,
+		Tables: map[string]*table.Table{"sales": mustTable(t, salesJSON())},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 10; i++ {
+		ids = append(ids, refreshOK(t, s, "p").ID)
+	}
+	s.mu.Lock()
+	retained := len(s.runs)
+	s.mu.Unlock()
+	if retained > 4 {
+		t.Fatalf("%d finished runs retained, want at most the ledger capacity 4", retained)
+	}
+
+	oldest, newest := ids[0], ids[len(ids)-1]
+	if _, err := s.Run(oldest); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Run(oldest) err = %v, want ErrNotFound", err)
+	}
+	if _, err := s.RunTrace(oldest); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("RunTrace(oldest) err = %v, want ErrNotFound", err)
+	}
+	events := func(id string) (int, string) {
+		resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	if code, _ := events(oldest); code != http.StatusNotFound {
+		t.Fatalf("events of the forgotten run: %d, want 404", code)
+	}
+
+	rep, err := s.RunTrace(newest)
+	if err != nil || !rep.Complete || len(rep.Spans) < 2 {
+		t.Fatalf("newest run trace: %+v, %v", rep, err)
+	}
+	if code, body := events(newest); code != http.StatusOK || !strings.Contains(body, "mv_daily") {
+		t.Fatalf("events of the newest run: %d %q", code, body)
 	}
 }

@@ -334,14 +334,14 @@ func (s *Server) handleTrigger(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("traceparent", tp)
 	}
 	if r.URL.Query().Get("wait") == "" {
-		writeJSON(w, http.StatusAccepted, run.status())
+		writeJSON(w, http.StatusAccepted, run.Status())
 		return
 	}
 	// wait mode: block until the run reaches a terminal state; a client
 	// disconnect cancels the refresh and releases its reservation.
 	select {
 	case <-run.done:
-		writeJSON(w, http.StatusOK, run.status())
+		writeJSON(w, http.StatusOK, run.Status())
 	case <-r.Context().Done():
 		_, _ = s.CancelRun(run.id)
 	}

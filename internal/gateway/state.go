@@ -2,12 +2,8 @@ package gateway
 
 import (
 	"context"
-	"fmt"
 
-	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/introspect"
-	"github.com/shortcircuit-db/sc/internal/introspect/alert"
-	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/opt"
 )
@@ -15,25 +11,6 @@ import (
 // serverEvLogCap bounds the server-wide eviction timeline: evictions
 // harvested from finished run catalogs, newest wins.
 const serverEvLogCap = 256
-
-// buildProblem assembles the pipeline's current knapsack exactly as
-// planTrigger sees it: learned (EWMA) encoded sizes and sized scores when
-// the pipeline encodes, raw sizes otherwise. raw is always the
-// uncompressed footprint vector (the memory-access side of the scores).
-func (s *Server) buildProblem(p *pipeline) (prob *core.Problem, raw []int64) {
-	slice := s.adm.tenantSlice(p.tenant)
-	raw = p.md.Sizes(p.graph, s.cfg.SizeGuess)
-	prob = &core.Problem{G: p.graph, Memory: slice}
-	if p.encOpts != nil {
-		enc := p.md.EncodedSizes(p.graph, s.cfg.SizeGuess)
-		prob.Sizes = enc
-		prob.Scores = p.md.ScoresSized(p.graph, raw, enc, s.device)
-	} else {
-		prob.Sizes = raw
-		prob.Scores = p.md.Scores(p.graph, raw, s.device)
-	}
-	return prob, raw
-}
 
 // CatalogState snapshots the shared Memory Catalog for
 // GET /v1/state/catalog: every entry resident in a live run's catalog with
@@ -51,36 +28,20 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 		PeakUsedBytes: s.pool.PeakUsed(),
 	}
 
-	type liveRun struct {
-		id, pipeline, tenant string
-		cat                  *memcat.Catalog
-		p                    *pipeline
-	}
-	var live []liveRun
-	s.mu.Lock()
-	for _, r := range s.runs {
-		r.mu.Lock()
-		cat := r.cat
-		r.mu.Unlock()
-		if cat != nil {
-			live = append(live, liveRun{r.id, r.pipeline, r.tenant, cat, s.pipelines[r.pipeline]})
-		}
-	}
-	s.mu.Unlock()
-
-	for _, lr := range live {
+	for _, lc := range s.liveCatalogs() {
+		r := lc.run
 		// Score each resident entry under the pipeline's current knapsack,
 		// so eviction rank reflects what the optimizer values right now.
 		score := make(map[string]float64)
-		if lr.p != nil {
-			prob, _ := s.buildProblem(lr.p)
-			for i, n := range lr.p.workload.Nodes {
+		if p, err := s.lookup(r.pipeline); err == nil {
+			prob, _ := p.Problem(s.adm.tenantSlice(p.tenant), s.cfg.SizeGuess, s.device)
+			for i, n := range p.Workload.Nodes {
 				score[n.Name] = prob.Scores[i]
 			}
 		}
-		for _, e := range lr.cat.Entries() {
+		for _, e := range lc.cat.Entries() {
 			ce := introspect.CatalogEntry{
-				Pipeline: lr.pipeline, Tenant: lr.tenant, RunID: lr.id,
+				Pipeline: r.pipeline, Tenant: r.tenant, RunID: r.id,
 				EntryInfo: e,
 			}
 			if !e.LastAccess.IsZero() {
@@ -89,12 +50,12 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 			ce.ScoreSeconds = score[e.Name]
 			rep.Entries = append(rep.Entries, ce)
 		}
-		for _, ev := range lr.cat.Evictions() {
+		for _, ev := range lc.cat.Evictions() {
 			rep.Evictions = append(rep.Evictions, introspect.EvictionEvent{
-				Pipeline: lr.pipeline, Tenant: lr.tenant, RunID: lr.id, Eviction: ev,
+				Pipeline: r.pipeline, Tenant: r.tenant, RunID: r.id, Eviction: ev,
 			})
 		}
-		rep.EvictionsSeen += lr.cat.EvictionsSeen()
+		rep.EvictionsSeen += lc.cat.EvictionsSeen()
 	}
 
 	// Prepend the server-wide timeline (evictions harvested from finished
@@ -106,6 +67,27 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 
 	introspect.FinishCatalogReport(&rep)
 	return rep
+}
+
+// liveCatalog is an executing run's Memory Catalog.
+type liveCatalog struct {
+	run *Run
+	cat *memcat.Catalog
+}
+
+// liveCatalogs snapshots the catalogs of the runs executing right now.
+func (s *Server) liveCatalogs() []liveCatalog {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []liveCatalog
+	for _, r := range s.runs {
+		r.mu.Lock()
+		if r.cat != nil {
+			out = append(out, liveCatalog{r, r.cat})
+		}
+		r.mu.Unlock()
+	}
+	return out
 }
 
 // harvestEvictions folds a finishing run catalog's eviction ring into the
@@ -159,94 +141,16 @@ func (s *Server) SchedState() introspect.SchedReport {
 // encoded bytes, the marginal byte cost that decided it, and what would
 // flip it. The body of GET /v1/pipelines/{p}/explain.
 func (s *Server) ExplainPipeline(name string) (*introspect.ExplainReport, error) {
-	s.mu.Lock()
-	p, ok := s.pipelines[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+	p, err := s.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	prob, raw := s.buildProblem(p)
+	prob, raw := p.Problem(s.adm.tenantSlice(p.tenant), s.cfg.SizeGuess, s.device)
 	plan, _, err := opt.Solve(context.Background(), prob, opt.Options{})
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(p.workload.Nodes))
-	for i, n := range p.workload.Nodes {
-		names[i] = n.Name
-	}
-	in := introspect.ExplainInput{
-		Pipeline: name,
-		Problem:  prob,
-		Plan:     plan,
-		Names:    names,
-		RawBytes: raw,
-		Encoding: p.encOpts != nil,
-		Device:   s.device,
-	}
-	if p.encOpts != nil {
-		in.PredictedBytes = make([]int64, len(names))
-		for i, n := range names {
-			in.PredictedBytes[i] = p.md.PredictEncoded(n, raw[i])
-		}
-	}
+	in := p.ExplainInput(prob, raw, plan, s.device)
+	in.Pipeline = name
 	return introspect.Explain(in), nil
-}
-
-// notifyRun pushes the run's flagging-adjacent surprises to the alert
-// webhook: one event per ledger anomaly, plus the pipeline's
-// health-verdict transition when this run changed it. The first observed
-// verdict for a pipeline establishes the baseline silently, so a fresh
-// gateway does not alert "unknown became healthy" on every first run.
-func (s *Server) notifyRun(r *Run, sum ledger.RunSummary) {
-	if s.alerts == nil {
-		return
-	}
-	for _, a := range sum.Anomalies {
-		s.alerts.Notify(alert.Event{
-			Pipeline: r.pipeline,
-			Kind:     a.Kind,
-			Severity: "warning",
-			Summary:  anomalySummary(r.pipeline, a),
-			RunID:    r.id,
-			Node:     a.Node,
-			Observed: a.Observed,
-			Baseline: a.Baseline,
-			Sigma:    a.Score,
-		})
-	}
-	h := s.led.Health(r.pipeline, ledger.HealthConfig{SLOSeconds: s.cfg.SLOSeconds})
-	s.verMu.Lock()
-	prev := s.lastVerdict[r.pipeline]
-	s.lastVerdict[r.pipeline] = h.Verdict
-	s.verMu.Unlock()
-	if prev == "" || prev == h.Verdict {
-		return
-	}
-	sev := "info"
-	switch h.Verdict {
-	case ledger.VerdictFailing:
-		sev = "critical"
-	case ledger.VerdictDegraded:
-		sev = "warning"
-	}
-	s.alerts.Notify(alert.Event{
-		Pipeline:    r.pipeline,
-		Kind:        "health_transition",
-		Severity:    sev,
-		Summary:     fmt.Sprintf("pipeline %s went %s (was %s)", r.pipeline, h.Verdict, prev),
-		RunID:       r.id,
-		FromVerdict: prev,
-		ToVerdict:   h.Verdict,
-	})
-}
-
-func anomalySummary(pipeline string, a ledger.Anomaly) string {
-	msg := fmt.Sprintf("pipeline %s: %s", pipeline, a.Kind)
-	if a.Node != "" {
-		msg += " at node " + a.Node
-	}
-	if a.Detail != "" {
-		msg += ": " + a.Detail
-	}
-	return msg
 }

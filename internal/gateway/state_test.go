@@ -374,7 +374,7 @@ func TestGatewayAlertWebhookEndToEnd(t *testing.T) {
 	if transitions != 1 {
 		t.Fatalf("health transitions = %d, want 1 (bodies: %q)", transitions, got)
 	}
-	st := s.alerts.Stats()
+	st := s.fin.Alerts.Stats()
 	if st.Retries < 1 {
 		t.Fatalf("stats = %+v, want at least one retry for the simulated 503", st)
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,5 +80,22 @@ func TestScoresSizedUsesDiskSizes(t *testing.T) {
 	withObs := s.ScoresSized(g, raw, enc, d)
 	if withObs[0] <= comp[0] {
 		t.Fatalf("observed 3s write should dominate: %f vs %f", withObs[0], comp[0])
+	}
+}
+
+func TestProblemWeighsEncodedFootprints(t *testing.T) {
+	g := pair(t)
+	s := NewStore()
+	d := costmodel.PaperProfile()
+	s.Record(Observation{Name: "a", OutputBytes: 10 << 20, EncodedBytes: 1 << 20, When: time.Now()})
+	plain, raw := s.Problem(g, 5<<20, 1<<10, d, false)
+	if !reflect.DeepEqual(plain.Sizes, raw) || !reflect.DeepEqual(plain.Scores, s.Scores(g, raw, d)) || plain.Memory != 5<<20 {
+		t.Fatalf("uncompressed problem = %+v, raw %v", plain, raw)
+	}
+	comp, raw2 := s.Problem(g, 5<<20, 1<<10, d, true)
+	enc := s.EncodedSizes(g, 1<<10)
+	if !reflect.DeepEqual(raw2, raw) || !reflect.DeepEqual(comp.Sizes, enc) ||
+		!reflect.DeepEqual(comp.Scores, s.ScoresSized(g, raw, enc, d)) {
+		t.Fatalf("compressed problem = %+v, want sizes %v", comp, enc)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/obs"
@@ -264,6 +265,21 @@ func (s *Store) ScoresSized(g *dag.Graph, memSizes, diskSizes []int64, d costmod
 		out[i] = saved.Seconds()
 	}
 	return out
+}
+
+// Problem derives the S/C Opt instance for g against a Memory Catalog of
+// the given size: the latest observed sizes (fallback for never-observed
+// nodes) and scores under the device profile. With encoded the knapsack
+// weighs nodes at their compressed footprint and the disk terms of the
+// scores move encoded bytes. raw is always the uncompressed footprint.
+func (s *Store) Problem(g *dag.Graph, memory, fallback int64, d costmodel.DeviceProfile, encoded bool) (prob *core.Problem, raw []int64) {
+	raw = s.Sizes(g, fallback)
+	prob = &core.Problem{G: g, Sizes: raw, Memory: memory}
+	if encoded {
+		prob.Sizes = s.EncodedSizes(g, fallback) // the catalog holds compressed entries
+	}
+	prob.Scores = s.ScoresSized(g, raw, prob.Sizes, d)
+	return prob, raw
 }
 
 // Recorder adapts a Store to the obs event stream: every successful

@@ -215,13 +215,13 @@ func TestKahnMatchesGraphTopoSort(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
+func TestNewResolvesRegisteredNames(t *testing.T) {
 	for _, name := range []string{"ma-dfs", "dfs", "kahn", "sa", "separator"} {
-		if _, err := ByName(name, 1); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
+		if _, err := New(name, 1); err != nil {
+			t.Errorf("New(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("nope", 1); err == nil {
+	if _, err := New("nope", 1); err == nil {
 		t.Error("unknown orderer accepted")
 	}
 }

@@ -20,11 +20,6 @@ func New(name string, seed int64) (Orderer, error) { return reg.New(name, seed) 
 // Names lists registered orderer names, sorted.
 func Names() []string { return reg.Names() }
 
-// ByName returns the named orderer.
-//
-// Deprecated: ByName is kept for old call sites; use New.
-func ByName(name string, seed int64) (Orderer, error) { return New(name, seed) }
-
 func init() {
 	Register("ma-dfs", func(int64) Orderer { return MADFS{} })
 	Register("dfs", func(seed int64) Orderer { return DFS{Seed: seed} })

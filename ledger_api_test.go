@@ -2,10 +2,18 @@ package sc_test
 
 import (
 	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	sc "github.com/shortcircuit-db/sc"
+	"github.com/shortcircuit-db/sc/internal/leakcheck"
+	"github.com/shortcircuit-db/sc/internal/storage"
 )
 
 // TestWithLedgerRecordsHistory pins the library facade: WithLedger records
@@ -73,5 +81,80 @@ func TestWithLedgerRecordsHistory(t *testing.T) {
 	}
 	if got := ref3.History(sc.RunFilter{}); got != nil {
 		t.Fatalf("no-ledger session returned history: %+v", got)
+	}
+}
+
+// TestWithLedgerRecordsCanceledRun pins the session's cancel outcome: a
+// refresh cancelled mid-run lands exactly one "canceled" summary.
+func TestWithLedgerRecordsCanceledRun(t *testing.T) {
+	store := sc.NewMemStore()
+	baseTables(t, store)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	watch := sc.ObserverFunc(func(e sc.Event) {
+		if e.Kind == sc.NodeDone {
+			once.Do(cancel)
+		}
+	})
+	ref, err := sc.New(chainMVs(), store, sc.WithLedger(""), sc.WithObserver(watch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	hist := ref.History(sc.RunFilter{})
+	if len(hist) != 1 || hist[0].Outcome != "canceled" {
+		t.Fatalf("history = %+v, want one canceled run", hist)
+	}
+}
+
+// TestWithLedgerRecordsFailedRun pins the session's failure outcome: a
+// refresh whose store write fails lands exactly one "failed" summary that
+// carries the error.
+func TestWithLedgerRecordsFailedRun(t *testing.T) {
+	inner := sc.NewMemStore()
+	baseTables(t, inner)
+	faulty := storage.NewFaulty(inner)
+	faulty.FailWriteAfter = 1 // the first MV lands, the second does not
+	ref, err := sc.New(chainMVs(), faulty, sc.WithLedger(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Run(context.Background()); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("err = %v, want an injected storage fault", err)
+	}
+	hist := ref.History(sc.RunFilter{})
+	if len(hist) != 1 || hist[0].Outcome != "failed" || !strings.Contains(hist[0].Error, "injected fault") {
+		t.Fatalf("history = %+v, want one failed run carrying the error", hist)
+	}
+}
+
+// TestRefresherCloseNoGoroutineLeak asserts a session with every push
+// surface on — tracing, the ledger and the alert webhook — leaves no
+// goroutine behind once Close returns.
+func TestRefresherCloseNoGoroutineLeak(t *testing.T) {
+	defer leakcheck.Check(t)
+	hook := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer hook.Close()
+
+	store := sc.NewMemStore()
+	baseTables(t, store)
+	ref, err := sc.New(chainMVs(), store,
+		sc.WithMemory(1<<20),
+		sc.WithTelemetry(nil),
+		sc.WithAlerts(hook.URL, time.Minute),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := ref.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

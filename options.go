@@ -62,25 +62,6 @@ func (c *config) fail(format string, args ...any) {
 	}
 }
 
-// algorithms resolves the session's selector and orderer, constructing the
-// paper's defaults through the registries (seeded with WithSeed) when none
-// were supplied.
-func (c *config) algorithms() (Selector, Orderer, error) {
-	sel, ord := c.selector, c.orderer
-	var err error
-	if sel == nil {
-		if sel, err = SelectorByName("mkp", c.seed); err != nil {
-			return nil, nil, err
-		}
-	}
-	if ord == nil {
-		if ord, err = OrdererByName("ma-dfs", c.seed); err != nil {
-			return nil, nil, err
-		}
-	}
-	return sel, ord, nil
-}
-
 // WithMemory sets the Memory Catalog budget in bytes. Zero (the default)
 // disables flagging entirely; negative budgets are rejected.
 func WithMemory(bytes int64) Option {

@@ -198,15 +198,30 @@ func Solve(ctx context.Context, p *Problem, opts ...Option) (*Plan, *Stats, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, ord, err := cfg.algorithms()
-	if err != nil {
-		return nil, nil, err
+	return cfg.solve(ctx, p)
+}
+
+// solve runs the alternating optimization with the config's strategies —
+// the paper's defaults, seeded with WithSeed, when none were supplied —
+// iteration cap and observer.
+func (c *config) solve(ctx context.Context, p *Problem) (*Plan, *Stats, error) {
+	sel, ord := c.selector, c.orderer
+	var err error
+	if sel == nil {
+		if sel, err = SelectorByName("mkp", c.seed); err != nil {
+			return nil, nil, err
+		}
+	}
+	if ord == nil {
+		if ord, err = OrdererByName("ma-dfs", c.seed); err != nil {
+			return nil, nil, err
+		}
 	}
 	pl, st, err := opt.Solve(ctx, p, opt.Options{
 		Selector:      sel,
 		Orderer:       ord,
-		MaxIterations: cfg.maxIterations,
-		Observer:      cfg.observer,
+		MaxIterations: c.maxIterations,
+		Observer:      c.observer,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -218,37 +233,6 @@ func Solve(ctx context.Context, p *Problem, opts ...Option) (*Plan, *Stats, erro
 		Elapsed:    st.Elapsed,
 		StopReason: st.StopReason,
 	}, nil
-}
-
-// Options configures Optimize.
-//
-// Deprecated: use Solve with functional options.
-type Options struct {
-	// Selector solves S/C Opt Nodes; nil means the paper's SimplifiedMKP.
-	// Use SelectorByName to resolve registered algorithms.
-	Selector Selector
-	// Orderer solves S/C Opt Order; nil means the paper's MA-DFS.
-	// Use OrdererByName to resolve registered algorithms.
-	Orderer Orderer
-	// Seed is retained for compatibility; seeds now feed SelectorByName /
-	// OrdererByName directly.
-	Seed int64
-	// MaxIterations caps alternating optimization (0 = default).
-	MaxIterations int
-}
-
-// Optimize solves S/C Opt without a context.
-//
-// Deprecated: use Solve, which honors cancellation and functional options.
-func Optimize(p *Problem, o Options) (*Plan, *Stats, error) {
-	opts := []Option{WithSeed(o.Seed), WithMaxIterations(o.MaxIterations)}
-	if o.Selector != nil {
-		opts = append(opts, WithFlagSelector(o.Selector))
-	}
-	if o.Orderer != nil {
-		opts = append(opts, WithOrderer(o.Orderer))
-	}
-	return Solve(context.Background(), p, opts...)
 }
 
 // Feasible reports whether the plan's flagged set fits in the problem's
