@@ -285,7 +285,7 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 		w:       w,
 		g:       g,
 		pos:     core.Positions(plan.Order),
-		schemas: newSchemaCache(c.Store, c.Mem),
+		schemas: newSchemaCache(c.Mem),
 		states:  make([]*flaggedState, n),
 	}
 
@@ -464,12 +464,35 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 		}
 	}()
 
-	// Plan the statement against current schemas.
+	// Bytes this node fetched from storage wait in held until the executor
+	// is done with them: a schema the run has not learned yet costs the
+	// planner a read of the whole object, and a kernel's chunked probe that
+	// falls back (legacy v1 file, schema mismatch, the other join side) hands
+	// its bytes to the row path. Either way each input is fetched from
+	// storage once per node. A node plans and executes on one goroutine, so
+	// no locking is needed.
+	type heldObject struct {
+		data     []byte
+		resolved bool // counted in DiskReads
+	}
+	held := make(map[string]*heldObject)
+	var planRead time.Duration // the planner's fetches, charged to ReadTime
+
 	stmt, err := sql.Parse(spec.SQL)
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}
-	planNode, _, err := sql.Plan(stmt, rs.schemas)
+	planNode, _, err := sql.Plan(stmt, sql.CatalogFunc(func(name string) (table.Schema, error) {
+		return rs.schemas.schema(name, func(name string) ([]byte, error) {
+			t0 := time.Now()
+			data, err := c.Store.Read(tableObject(name))
+			planRead += time.Since(t0)
+			if err == nil {
+				held[name] = &heldObject{data: data}
+			}
+			return data, err
+		})
+	}))
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}
@@ -488,26 +511,29 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	// Execute with a resolver that tracks where inputs came from and
 	// honors cancellation between input reads.
 	var readTime time.Duration
-	// One-entry cache of the last physical storage read: a kernel's
-	// chunked probe that falls back (legacy v1 file, schema mismatch)
-	// hands its bytes to the row path instead of paying the (possibly
-	// throttled) store twice for the same object. A node's plan executes
-	// on one goroutine, so no locking is needed.
-	var lastRead struct {
-		name string
-		data []byte
-	}
-	readObject := func(name string) ([]byte, error) {
-		if lastRead.name == name {
-			return lastRead.data, nil
+	// readObject returns an input's stored bytes, counting a disk read the
+	// first time the node resolves the object. keep leaves the bytes held
+	// for a later fallback; the row path, which decodes them whole, takes
+	// them.
+	readObject := func(name string, keep bool) ([]byte, error) {
+		h, ok := held[name]
+		if !ok {
+			data, err := c.Store.Read(tableObject(name))
+			if err != nil {
+				return nil, err
+			}
+			h = &heldObject{data: data}
 		}
-		data, err := c.Store.Read(tableObject(name))
-		if err != nil {
-			return nil, err
+		if !h.resolved {
+			h.resolved = true
+			m.DiskReads++
 		}
-		m.DiskReads++
-		lastRead.name, lastRead.data = name, data
-		return data, nil
+		if keep {
+			held[name] = h
+		} else {
+			delete(held, name)
+		}
+		return h.data, nil
 	}
 	ectx := &engine.Context{Resolve: func(name string) (*table.Table, error) {
 		if err := ctx.Err(); err != nil {
@@ -547,7 +573,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 			}
 			// Not resident (or undecodable): fall back to storage below.
 		}
-		data, err := readObject(name)
+		data, err := readObject(name, false)
 		if err != nil {
 			return nil, err
 		}
@@ -606,7 +632,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 					return nil, nil // plain resident entry: row path is cheaper
 				}
 			}
-			data, err := readObject(name)
+			data, err := readObject(name, true)
 			if err != nil || !colfmt.IsChunked(data) {
 				return nil, nil
 			}
@@ -635,7 +661,8 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}
 	m.ComputeTime = time.Since(t0) - readTime
-	m.ReadTime = readTime
+	m.ReadTime = planRead + readTime
+	clear(held) // hold no input bytes through the encode and write
 	if ct != nil {
 		m.OutputBytes = ct.RawBytes
 		m.Rows = ct.NRows
@@ -928,17 +955,18 @@ func SaveTableChunked(st storage.Store, name string, t *table.Table, opts encodi
 }
 
 // schemaCache resolves table schemas for the SQL planner: first from
-// schemas learned this run, then the Memory Catalog, then storage headers.
+// schemas learned this run, then the Memory Catalog, then the stored object
+// itself, whose bytes the caller's read function fetches (a schema read
+// costs the whole object; execNode keeps those bytes for its executor).
 // It is safe for concurrent use by the worker pool.
 type schemaCache struct {
-	store storage.Store
 	mem   *memcat.Catalog
 	mu    sync.RWMutex
 	known map[string]table.Schema
 }
 
-func newSchemaCache(st storage.Store, mem *memcat.Catalog) *schemaCache {
-	return &schemaCache{store: st, mem: mem, known: make(map[string]table.Schema)}
+func newSchemaCache(mem *memcat.Catalog) *schemaCache {
+	return &schemaCache{mem: mem, known: make(map[string]table.Schema)}
 }
 
 func (s *schemaCache) learn(name string, sch table.Schema) {
@@ -947,8 +975,9 @@ func (s *schemaCache) learn(name string, sch table.Schema) {
 	s.mu.Unlock()
 }
 
-// TableSchema implements sql.Catalog.
-func (s *schemaCache) TableSchema(name string) (table.Schema, error) {
+// schema returns name's schema, calling read for the stored object's bytes
+// only when neither this run nor the Memory Catalog knows it.
+func (s *schemaCache) schema(name string, read func(name string) ([]byte, error)) (table.Schema, error) {
 	s.mu.RLock()
 	sch, ok := s.known[name]
 	s.mu.RUnlock()
@@ -969,7 +998,7 @@ func (s *schemaCache) TableSchema(name string) (table.Schema, error) {
 			}
 		}
 	}
-	data, err := s.store.Read(tableObject(name))
+	data, err := read(name)
 	if err != nil {
 		return table.Schema{}, err
 	}

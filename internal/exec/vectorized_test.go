@@ -62,26 +62,9 @@ func vecBaseTables(t *testing.T) map[string]*table.Table {
 
 func runVecWorkload(t *testing.T, vectorized bool, o obs.Observer) (map[string][]byte, *RunResult) {
 	t.Helper()
-	st := storage.NewMemStore()
+	st := vecStore(t, true)
 	enc := encoding.Options{ChunkRows: 64}
-	for name, tb := range vecBaseTables(t) {
-		if err := SaveTableChunked(st, name, tb, enc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w := vecWorkload()
-	g, _, err := w.BuildGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := g.TopoSort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := core.NewPlan(topo)
-	for i := range plan.Flagged {
-		plan.Flagged[i] = true // keep everything resident: reads hit compressed entries
-	}
+	w, g, plan := vecPlan(t, true) // keep everything resident: reads hit compressed entries
 	ctl := &Controller{
 		Store:      st,
 		Mem:        memcat.New(1 << 30),

@@ -103,18 +103,20 @@ func Solve(p *Problem) (*Solution, error) {
 	return solveBnB(p, feasible)
 }
 
-// dpCapLimit bounds the DP table size for the single-constraint fast path;
-// larger capacities fall back to branch-and-bound.
-const dpCapLimit = 4 << 20
+// dpMaxBytes bounds the DP tables of the single-constraint fast path: one
+// int64 per capacity unit plus one bool per (item, capacity unit) cell.
+// Larger instances go to branch-and-bound, which solves the few-item,
+// byte-sized capacities S/C produces in microseconds without allocating
+// tables the size of the budget.
+const dpMaxBytes = 1 << 20
 
 // solveDP solves single-constraint instances by classic O(n·C) DP.
 func solveDP(p *Problem, feasible []bool) (*Solution, error) {
-	cap64 := p.Capacities[0]
-	if cap64 > dpCapLimit {
+	cap64, n := p.Capacities[0], len(p.Profits)
+	if cap64 >= dpMaxBytes || int64(n+8)*(cap64+1) > dpMaxBytes {
 		return solveBnB(p, feasible)
 	}
 	c := int(cap64)
-	n := len(p.Profits)
 	best := make([]int64, c+1)
 	// choice[j*(c+1)+w] records whether item j is taken at capacity w.
 	choice := make([]bool, n*(c+1))

@@ -2,6 +2,7 @@ package knapsack
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -286,5 +287,38 @@ func TestHundredItemInstanceIsFast(t *testing.T) {
 	}
 	if !s.Optimal {
 		t.Fatalf("100-item instance not solved to optimality (%d nodes)", s.Nodes)
+	}
+}
+
+// TestLargeCapacityStaysSmall pins the single-constraint shape S/C hands
+// the solver: a handful of items against a byte-sized budget. The answer
+// must match brute force without allocating a DP table the size of the
+// budget.
+func TestLargeCapacityStaysSmall(t *testing.T) {
+	const capacity = 2_895_119
+	for _, n := range []int{5, 12} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		p := &Problem{
+			Profits:    make([]int64, n),
+			Weights:    [][]int64{make([]int64, n)},
+			Capacities: []int64{capacity},
+		}
+		for j := 0; j < n; j++ {
+			p.Profits[j] = 1 + rng.Int63n(1000)
+			p.Weights[0][j] = 1 + rng.Int63n(capacity)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Solve(p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteForce(p); !s.Optimal || s.Profit != want {
+			t.Fatalf("n=%d: profit %d (optimal %v), brute force %d", n, s.Profit, s.Optimal, want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("n=%d: Solve allocated %d bytes, want < 1 MiB", n, alloc)
+		}
 	}
 }
