@@ -4,6 +4,14 @@
 // aggregations, sorts and limits over tables resolved by name—from the
 // Memory Catalog or from external storage, which is exactly the distinction
 // S/C's optimization exploits.
+//
+// Operators evaluate by column, not by row: a filter predicate or a
+// computed projection runs each expression node once over typed vectors
+// (evalCols), a bare column projection copies its input column, an
+// aggregation reads only the columns its keys and arguments reference, and
+// joins and groups on one INT or STRING column key by the typed value.
+// The per-row Expr.Eval stays the reference semantics the vector paths
+// reproduce exactly, errors included.
 package engine
 
 import (
@@ -12,7 +20,10 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// Expr is a row-wise expression over an input row.
+// Expr is a scalar expression over an input row. Eval is the reference
+// semantics: operators evaluate the built-in types (ColRef, Lit, Bin, Not,
+// InList) column at a time with the same results and the same first error,
+// and call Eval row by row for any Expr type defined outside this package.
 type Expr interface {
 	// Type returns the static result type given the input schema.
 	Type(sch table.Schema) (table.Type, error)
@@ -155,30 +166,40 @@ func (b *Bin) Eval(row []table.Value) (table.Value, error) {
 	if err != nil {
 		return table.Value{}, err
 	}
-	switch {
-	case b.Op.IsLogical():
+	if b.Op.IsLogical() {
 		return boolValue(truthy(r)), nil
-	case b.Op.IsComparison():
-		c, err := l.Compare(r)
-		if err != nil {
-			return table.Value{}, err
-		}
-		switch b.Op {
-		case OpEq:
-			return boolValue(c == 0), nil
-		case OpNe:
-			return boolValue(c != 0), nil
-		case OpLt:
-			return boolValue(c < 0), nil
-		case OpLe:
-			return boolValue(c <= 0), nil
-		case OpGt:
-			return boolValue(c > 0), nil
-		default:
-			return boolValue(c >= 0), nil
-		}
+	}
+	return binScalar(b.Op, l, r)
+}
+
+// binScalar applies a non-logical operator to two evaluated operands.
+func binScalar(op BinOp, l, r table.Value) (table.Value, error) {
+	if !op.IsComparison() {
+		return evalArith(op, l, r)
+	}
+	c, err := l.Compare(r)
+	if err != nil {
+		return table.Value{}, err
+	}
+	return boolValue(cmpHolds(op, c)), nil
+}
+
+// cmpHolds reports whether a comparison operator holds for a Compare
+// result c.
+func cmpHolds(op BinOp, c int) bool {
+	switch op {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
 	default:
-		return evalArith(b.Op, l, r)
+		return c >= 0
 	}
 }
 
@@ -271,7 +292,14 @@ func (in *InList) Eval(row []table.Value) (table.Value, error) {
 	if err != nil {
 		return table.Value{}, err
 	}
-	for _, item := range in.List {
+	return inScalar(v, in.List)
+}
+
+// inScalar tests an evaluated value against the list, comparing items in
+// order: a match ends the scan, so an incomparable item after it is never
+// reached.
+func inScalar(v table.Value, list []table.Value) (table.Value, error) {
+	for _, item := range list {
 		c, err := v.Compare(item)
 		if err != nil {
 			return table.Value{}, err

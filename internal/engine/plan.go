@@ -90,15 +90,20 @@ func (f *Filter) Run(ctx *Context) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var idx []int
-	row := make([]table.Value, len(in.Cols))
-	for i := 0; i < in.NumRows(); i++ {
-		fillRow(in, i, row)
-		v, err := f.Pred.Eval(row)
-		if err != nil {
-			return nil, fmt.Errorf("engine: filter: %w", err)
+	n := in.NumRows()
+	v, _, err := evalCols(f.Pred, in, allRows(n))
+	if err != nil {
+		return nil, fmt.Errorf("engine: filter: %w", err)
+	}
+	keep := 0
+	for i := 0; i < n; i++ {
+		if v.truthy(i) {
+			keep++
 		}
-		if truthy(v) {
+	}
+	idx := make([]int, 0, keep)
+	for i := 0; i < n; i++ {
+		if v.truthy(i) {
 			idx = append(idx, i)
 		}
 	}
@@ -145,23 +150,108 @@ func (p *Project) Run(ctx *Context) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := in.NumRows()
 	out := table.New(p.sch)
-	row := make([]table.Value, len(in.Cols))
-	vals := make([]table.Value, len(p.Exprs))
-	for i := 0; i < in.NumRows(); i++ {
-		fillRow(in, i, row)
-		for c, e := range p.Exprs {
-			v, err := e.Eval(row)
-			if err != nil {
-				return nil, fmt.Errorf("engine: project %q: %w", p.Names[c], err)
-			}
-			vals[c] = coerce(v, p.sch.Cols[c].Type)
+	if n == 0 {
+		return out, nil
+	}
+	// Evaluate expression by expression, keeping the failure row-major
+	// evaluation would hit first: an expression failing on a row fails
+	// before any later expression on that row and before the row is
+	// appended, and appending fails on a value of the wrong type. Later
+	// expressions only run on the rows above an earlier failure.
+	vecs := make([]vec, len(p.Exprs))
+	evalBad, appendBad := noFail, noFail
+	var evalErr error
+	for c, e := range p.Exprs {
+		v, bad, err := evalCols(e, in, allRows(n).below(evalBad))
+		vecs[c] = v
+		defined := evalBad // v holds the rows below this one
+		if err != nil {
+			defined, evalBad, evalErr = bad, bad, fmt.Errorf("engine: project %q: %w", p.Names[c], err)
 		}
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
+		if bad := mistypedRow(&v, p.sch.Cols[c].Type, defined); bad < appendBad {
+			appendBad = bad
 		}
 	}
+	switch {
+	case evalErr != nil && evalBad <= appendBad:
+		return nil, evalErr
+	case appendBad != noFail:
+		vals := make([]table.Value, len(vecs))
+		for c := range vecs {
+			vals[c] = coerce(vecs[c].value(appendBad), p.sch.Cols[c].Type)
+		}
+		return nil, out.AppendRow(vals...)
+	}
+	for c := range vecs {
+		out.Cols[c] = column(&vecs[c], p.sch.Cols[c].Type, n)
+	}
 	return out, nil
+}
+
+// mistypedRow returns the first row below lim whose value, widened by
+// coerce, is not of type want, or noFail.
+func mistypedRow(v *vec, want table.Type, lim int) int {
+	if v.boxed {
+		for i := 0; i < lim && i < len(v.vals); i++ {
+			if coerce(v.vals[i&v.mask], want).Type != want {
+				return i
+			}
+		}
+		return noFail
+	}
+	if v.Type == want || (v.Type == table.Int && want == table.Float) || lim == 0 {
+		return noFail
+	}
+	return 0
+}
+
+// column turns an evaluated expression into an n-row output column of type
+// want (INT widens to FLOAT as coerce does). A result the evaluation
+// allocated becomes the column as is; an input column is copied, never
+// shared, since inputs may be Memory Catalog entries; a literal repeats.
+func column(v *vec, want table.Type, n int) *table.Vector {
+	switch {
+	case v.boxed:
+		out := &table.Vector{Type: want}
+		for i := 0; i < n; i++ {
+			_ = out.Append(coerce(v.vals[i&v.mask], want))
+		}
+		return out
+	case v.Type == table.Int && want == table.Float:
+		out := &table.Vector{Type: table.Float, Floats: make([]float64, n)}
+		for i := range out.Floats {
+			out.Floats[i] = float64(v.Ints[i&v.mask])
+		}
+		return out
+	case v.owned:
+		return &v.Vector
+	}
+	out := &table.Vector{Type: v.Type}
+	switch v.Type {
+	case table.Int:
+		out.Ints = repeatOrCopy(v.Ints, v.mask, n)
+	case table.Float:
+		out.Floats = repeatOrCopy(v.Floats, v.mask, n)
+	default:
+		out.Strs = repeatOrCopy(v.Strs, v.mask, n)
+	}
+	return out
+}
+
+// repeatOrCopy copies the first n values of src (mask -1) or repeats
+// src[0] n times (mask 0).
+func repeatOrCopy[T any](src []T, mask, n int) []T {
+	out := make([]T, n)
+	if mask != 0 {
+		copy(out, src[:n])
+		return out
+	}
+	for i := range out {
+		out[i] = src[0]
+	}
+	return out
 }
 
 // String implements Node.
@@ -207,25 +297,16 @@ func (j *HashJoin) Run(ctx *Context) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := make(map[string][]int)
-	var key []byte
-	for i := 0; i < right.NumRows(); i++ {
-		key = key[:0]
-		for _, c := range j.RightKeys {
-			key = appendKey(key, right.Cols[c].Value(i))
-		}
-		build[string(key)] = append(build[string(key)], i)
-	}
 	var leftIdx, rightIdx []int
-	for i := 0; i < left.NumRows(); i++ {
-		key = key[:0]
-		for _, c := range j.LeftKeys {
-			key = appendKey(key, left.Cols[c].Value(i))
-		}
-		for _, r := range build[string(key)] {
-			leftIdx = append(leftIdx, i)
-			rightIdx = append(rightIdx, r)
-		}
+	lc, rc := left.Cols[j.LeftKeys[0]], right.Cols[j.RightKeys[0]]
+	single := len(j.LeftKeys) == 1 && lc.Type == rc.Type
+	switch {
+	case single && lc.Type == table.Int:
+		leftIdx, rightIdx = matchTyped(lc.Ints, rc.Ints)
+	case single && lc.Type == table.Str:
+		leftIdx, rightIdx = matchTyped(lc.Strs, rc.Strs)
+	default:
+		leftIdx, rightIdx = j.matchEncoded(left, right)
 	}
 	lg := left.Gather(leftIdx)
 	rg := right.Gather(rightIdx)
@@ -233,6 +314,52 @@ func (j *HashJoin) Run(ctx *Context) (*table.Table, error) {
 	out.Cols = append(out.Cols, lg.Cols...)
 	out.Cols = append(out.Cols, rg.Cols...)
 	return out, nil
+}
+
+// matchTyped pairs every probe row with each build row holding an equal
+// key, in probe order and then build order, keyed by the typed value: for
+// a single INT or STRING key pair that equality is exactly appendKey's.
+func matchTyped[K comparable](probe, build []K) (probeIdx, buildIdx []int) {
+	rows := make(map[K][]int32, len(build))
+	for i, k := range build {
+		rows[k] = append(rows[k], int32(i))
+	}
+	probeIdx = make([]int, 0, len(probe))
+	buildIdx = make([]int, 0, len(probe))
+	for i, k := range probe {
+		for _, r := range rows[k] {
+			probeIdx = append(probeIdx, i)
+			buildIdx = append(buildIdx, int(r))
+		}
+	}
+	return probeIdx, buildIdx
+}
+
+// matchEncoded is matchTyped for FLOAT, mixed-type and multi-column keys,
+// keyed by appendKey encodings.
+func (j *HashJoin) matchEncoded(left, right *table.Table) (leftIdx, rightIdx []int) {
+	build := make(map[string][]int32, right.NumRows())
+	var key []byte
+	for i := 0; i < right.NumRows(); i++ {
+		key = key[:0]
+		for _, c := range j.RightKeys {
+			key = appendKey(key, right.Cols[c].Value(i))
+		}
+		build[string(key)] = append(build[string(key)], int32(i))
+	}
+	leftIdx = make([]int, 0, left.NumRows())
+	rightIdx = make([]int, 0, left.NumRows())
+	for i := 0; i < left.NumRows(); i++ {
+		key = key[:0]
+		for _, c := range j.LeftKeys {
+			key = appendKey(key, left.Cols[c].Value(i))
+		}
+		for _, r := range build[string(key)] {
+			leftIdx = append(leftIdx, i)
+			rightIdx = append(rightIdx, int(r))
+		}
+	}
+	return leftIdx, rightIdx
 }
 
 // String implements Node.
@@ -368,9 +495,15 @@ type aggGroup struct {
 // result table.
 type AggAcc struct {
 	a      *Aggregate
-	groups map[string]*aggGroup
-	order  []string
-	key    []byte // reused group-key buffer
+	groups []*aggGroup // first-appearance order
+	// Groups are found by the typed value of a single INT group-by column
+	// (byInt), of a single STRING one (byStr with typedKey), or otherwise
+	// by the appendKey encoding of every group-by value (byStr) — which
+	// folds -0.0 into 0.0 and puts every NaN in one group.
+	byInt    map[int64]*aggGroup
+	byStr    map[string]*aggGroup
+	typedKey bool
+	key      []byte // reused group-key buffer
 	// sumFLive marks specs whose float accumulator is output-relevant, so
 	// AddRepeat knows when it must reproduce bit-exact repeated addition
 	// and when a closed form suffices.
@@ -378,36 +511,70 @@ type AggAcc struct {
 }
 
 // NewAcc returns an empty accumulator for the aggregate.
-func (a *Aggregate) NewAcc() *AggAcc {
-	acc := &AggAcc{a: a, groups: make(map[string]*aggGroup)}
+func (a *Aggregate) NewAcc() *AggAcc { return a.newAcc(true) }
+
+// newAcc returns an empty accumulator; typed lets a single INT or STRING
+// group-by column key groups by its value.
+func (a *Aggregate) newAcc(typed bool) *AggAcc {
+	acc := &AggAcc{a: a}
 	for si, spec := range a.Aggs {
 		outType := a.sch.Cols[len(a.GroupBy)+si].Type
 		acc.sumFLive = append(acc.sumFLive,
 			spec.Func == AggAvg || (spec.Func == AggSum && outType == table.Float))
 	}
+	switch {
+	case typed && len(a.GroupBy) == 1 && a.sch.Cols[0].Type == table.Int:
+		acc.byInt = make(map[int64]*aggGroup)
+	case typed && len(a.GroupBy) == 1 && a.sch.Cols[0].Type == table.Str:
+		acc.byStr, acc.typedKey = make(map[string]*aggGroup), true
+	default:
+		acc.byStr = make(map[string]*aggGroup)
+	}
 	return acc
 }
 
-// group finds or creates the group for the current input row. The map
-// lookup converts the key buffer without allocating; a string key is only
-// materialized once per distinct group.
+// find returns the group of the key values vals[cols[0]], vals[cols[1]],
+// ..., or nil. The map lookups convert the key buffer without allocating.
+func (acc *AggAcc) find(vals []table.Value, cols []int) *aggGroup {
+	switch {
+	case acc.byInt != nil:
+		return acc.byInt[vals[cols[0]].I]
+	case acc.typedKey:
+		return acc.byStr[vals[cols[0]].S]
+	}
+	acc.key = acc.key[:0]
+	for _, c := range cols {
+		acc.key = appendKey(acc.key, vals[c])
+	}
+	return acc.byStr[string(acc.key)]
+}
+
+// insert appends grp as a new group; it must follow a find of the same
+// key that returned nil.
+func (acc *AggAcc) insert(grp *aggGroup) {
+	switch {
+	case acc.byInt != nil:
+		acc.byInt[grp.keyRow[0].I] = grp
+	case acc.typedKey:
+		acc.byStr[grp.keyRow[0].S] = grp
+	default:
+		acc.byStr[string(acc.key)] = grp
+	}
+	acc.groups = append(acc.groups, grp)
+}
+
+// group finds or creates the group for the current input row.
 func (acc *AggAcc) group(row []table.Value) *aggGroup {
 	a := acc.a
-	acc.key = acc.key[:0]
-	for _, g := range a.GroupBy {
-		acc.key = appendKey(acc.key, row[g])
+	if grp := acc.find(row, a.GroupBy); grp != nil {
+		return grp
 	}
-	grp, ok := acc.groups[string(acc.key)]
-	if !ok {
-		k := string(acc.key)
-		keyRow := make([]table.Value, len(a.GroupBy))
-		for gi, g := range a.GroupBy {
-			keyRow[gi] = row[g]
-		}
-		grp = &aggGroup{keyRow: keyRow, states: make([]aggState, len(a.Aggs))}
-		acc.groups[k] = grp
-		acc.order = append(acc.order, k)
+	keyRow := make([]table.Value, len(a.GroupBy))
+	for gi, g := range a.GroupBy {
+		keyRow[gi] = row[g]
 	}
+	grp := &aggGroup{keyRow: keyRow, states: make([]aggState, len(a.Aggs))}
+	acc.insert(grp)
 	return grp
 }
 
@@ -488,12 +655,14 @@ func (acc *AggAcc) ExactMergeable() bool {
 // partition order, which makes the merged result identical to a serial
 // pass whenever ExactMergeable holds.
 func (acc *AggAcc) Merge(other *AggAcc) {
-	for _, k := range other.order {
-		og := other.groups[k]
-		grp, ok := acc.groups[k]
-		if !ok {
-			acc.groups[k] = og
-			acc.order = append(acc.order, k)
+	keyCols := make([]int, len(acc.a.GroupBy))
+	for k := range keyCols {
+		keyCols[k] = k
+	}
+	for _, og := range other.groups {
+		grp := acc.find(og.keyRow, keyCols)
+		if grp == nil {
+			acc.insert(og)
 			continue
 		}
 		for si := range grp.states {
@@ -524,12 +693,10 @@ func (acc *AggAcc) Merge(other *AggAcc) {
 func (acc *AggAcc) Result() (*table.Table, error) {
 	a := acc.a
 	if len(a.GroupBy) == 0 && len(acc.groups) == 0 {
-		acc.groups[""] = &aggGroup{states: make([]aggState, len(a.Aggs))}
-		acc.order = append(acc.order, "")
+		acc.groups = append(acc.groups, &aggGroup{states: make([]aggState, len(a.Aggs))})
 	}
 	out := table.New(a.sch)
-	for _, k := range acc.order {
-		grp := acc.groups[k]
+	for _, grp := range acc.groups {
 		vals := make([]table.Value, 0, a.sch.NumCols())
 		vals = append(vals, grp.keyRow...)
 		for si, spec := range a.Aggs {
@@ -569,15 +736,75 @@ func (a *Aggregate) Run(ctx *Context) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Only the group-by and argument columns are read into the row; an
+	// argument of a type defined outside this package may read any column.
+	need, ok := a.InputCols(len(in.Cols))
+	if !ok {
+		need = make([]int, len(in.Cols))
+		for c := range need {
+			need[c] = c
+		}
+	}
 	acc := a.NewAcc()
 	row := make([]table.Value, len(in.Cols))
 	for i := 0; i < in.NumRows(); i++ {
-		fillRow(in, i, row)
+		for _, c := range need {
+			row[c] = in.Cols[c].Value(i)
+		}
 		if err := acc.Add(row); err != nil {
 			return nil, err
 		}
 	}
 	return acc.Result()
+}
+
+// InputCols returns, ascending, the input columns the aggregation reads:
+// its group-by columns and every column its arguments reference. ok is
+// false when a column is out of range for an ncols-column input or an
+// argument is an Expr type defined outside this package, which may read
+// any column.
+func (a *Aggregate) InputCols(ncols int) (cols []int, ok bool) {
+	read := make([]bool, ncols)
+	for _, g := range a.GroupBy {
+		if g < 0 || g >= ncols {
+			return nil, false
+		}
+		read[g] = true
+	}
+	for _, spec := range a.Aggs {
+		if spec.Arg != nil && !MarkCols(spec.Arg, read) {
+			return nil, false
+		}
+	}
+	for c, r := range read {
+		if r {
+			cols = append(cols, c)
+		}
+	}
+	return cols, true
+}
+
+// MarkCols sets read[c] for every column c the expression reads. It
+// reports false on a column reference outside read's range and on an Expr
+// type defined outside this package, whose reads it cannot see.
+func MarkCols(e Expr, read []bool) bool {
+	switch x := e.(type) {
+	case *ColRef:
+		if x.Idx < 0 || x.Idx >= len(read) {
+			return false
+		}
+		read[x.Idx] = true
+		return true
+	case *Lit:
+		return true
+	case *Bin:
+		return MarkCols(x.L, read) && MarkCols(x.R, read)
+	case *Not:
+		return MarkCols(x.E, read)
+	case *InList:
+		return MarkCols(x.E, read)
+	}
+	return false
 }
 
 func extremeOrZero(v table.Value, have bool, t table.Type) table.Value {
@@ -733,10 +960,3 @@ func (u *UnionAll) Run(ctx *Context) (*table.Table, error) {
 
 // String implements Node.
 func (u *UnionAll) String() string { return fmt.Sprintf("UnionAll(%d inputs)", len(u.Inputs)) }
-
-// fillRow copies row i of t into row (avoiding per-row allocation).
-func fillRow(t *table.Table, i int, row []table.Value) {
-	for c, v := range t.Cols {
-		row[c] = v.Value(i)
-	}
-}

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"sort"
-
 	"github.com/shortcircuit-db/sc/internal/engine"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
@@ -88,22 +86,22 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		n.Input = lower(n.Input, st, env)
 		switch in := n.Input.(type) {
 		case *engine.Scan:
-			if need, ok := aggNeeds(n, in.Sch); ok {
+			if need, ok := n.InputCols(in.Sch.NumCols()); ok {
 				st.Lowered++
 				return &AggScan{Scan: in, Agg: n, Orig: n, need: need, St: st}
 			}
 		case *FilterScan:
-			if need, ok := aggNeeds(n, in.Scan.Sch); ok {
+			if need, ok := n.InputCols(in.Scan.Sch.NumCols()); ok {
 				st.Lowered++
 				return &AggScan{Scan: in.Scan, Pred: in.Pred, Agg: n, Orig: n, need: need, St: st}
 			}
 		case *HashJoinScan:
-			if need, ok := aggNeeds(n, in.Sch); ok {
+			if need, ok := n.InputCols(in.Sch.NumCols()); ok {
 				st.Lowered++
 				return &AggScan{Inner: in, Agg: n, Orig: n, need: need, St: st}
 			}
 		case *ProjectScan:
-			if need, ok := aggNeeds(n, in.Sch); ok {
+			if need, ok := n.InputCols(in.Sch.NumCols()); ok {
 				st.Lowered++
 				return &AggScan{Inner: in, Agg: n, Orig: n, need: need, St: st}
 			}
@@ -215,57 +213,6 @@ func joinSideOf(n engine.Node) (JoinSide, bool) {
 	return JoinSide{}, false
 }
 
-// aggNeeds returns the ascending set of input columns the aggregation
-// reads: group-by keys plus every column referenced by an aggregate
-// argument. It reports false when an argument contains an expression form
-// it cannot analyze.
-func aggNeeds(a *engine.Aggregate, sch table.Schema) ([]int, bool) {
-	set := make(map[int]bool)
-	for _, g := range a.GroupBy {
-		if g < 0 || g >= sch.NumCols() {
-			return nil, false
-		}
-		set[g] = true
-	}
-	for _, spec := range a.Aggs {
-		if spec.Arg == nil {
-			continue
-		}
-		if !collectCols(spec.Arg, sch, set) {
-			return nil, false
-		}
-	}
-	need := make([]int, 0, len(set))
-	for c := range set {
-		need = append(need, c)
-	}
-	sort.Ints(need)
-	return need, true
-}
-
-// collectCols records every column an expression reads, reporting false on
-// expression forms outside the engine's closed set (a custom Expr could
-// observe columns invisibly, so it blocks lowering).
-func collectCols(e engine.Expr, sch table.Schema, set map[int]bool) bool {
-	switch v := e.(type) {
-	case *engine.ColRef:
-		if v.Idx < 0 || v.Idx >= sch.NumCols() {
-			return false
-		}
-		set[v.Idx] = true
-		return true
-	case *engine.Lit:
-		return true
-	case *engine.Bin:
-		return collectCols(v.L, sch, set) && collectCols(v.R, sch, set)
-	case *engine.Not:
-		return collectCols(v.E, sch, set)
-	case *engine.InList:
-		return collectCols(v.E, sch, set)
-	}
-	return false
-}
-
 // pushdown moves one-sided conjuncts of a Filter above a HashJoin below
 // the join, where they can fuse with a scan kernel. It only fires when
 // every conjunct compiles (compiled predicates cannot error, so filtering
@@ -282,12 +229,15 @@ func pushdown(f *engine.Filter, hj *engine.HashJoin, st *Stats, env *Env) engine
 		if _, ok := Compile(c, joined); !ok {
 			return nil
 		}
-		set := make(map[int]bool)
-		if !collectCols(c, joined, set) {
+		read := make([]bool, joined.NumCols())
+		if !engine.MarkCols(c, read) {
 			return nil
 		}
 		side := 0 // -1 left, 1 right, 0 mixed or column-free
-		for col := range set {
+		for col, r := range read {
+			if !r {
+				continue
+			}
 			s := -1
 			if col >= leftW {
 				s = 1

@@ -142,13 +142,25 @@ func (s *Store) Latest(name string) (Observation, bool) {
 // MeanWall returns the mean WallTime over name's retained observations
 // that recorded one; ok is false when none did.
 func (s *Store) MeanWall(name string) (time.Duration, bool) {
+	return s.mean(name, func(o Observation) (time.Duration, bool) { return o.WallTime, o.WallTime > 0 })
+}
+
+// MeanCompute returns the mean ComputeTime over name's retained
+// observations; ok is false when there are none.
+func (s *Store) MeanCompute(name string) (time.Duration, bool) {
+	return s.mean(name, func(o Observation) (time.Duration, bool) { return o.ComputeTime, true })
+}
+
+// mean averages the durations pick reports as recorded over name's
+// retained observations.
+func (s *Store) mean(name string, pick func(Observation) (time.Duration, bool)) (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var sum time.Duration
 	n := 0
 	for _, o := range s.obs[name] {
-		if o.WallTime > 0 {
-			sum += o.WallTime
+		if d, ok := pick(o); ok {
+			sum += d
 			n++
 		}
 	}

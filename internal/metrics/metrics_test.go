@@ -69,6 +69,19 @@ func TestRecorderLearnsMeanWall(t *testing.T) {
 	}
 }
 
+func TestMeanCompute(t *testing.T) {
+	s := NewStore()
+	if _, ok := s.MeanCompute("a"); ok {
+		t.Fatal("empty store claims a compute time")
+	}
+	s.Record(Observation{Name: "a", ComputeTime: 30 * time.Millisecond})
+	s.Record(Observation{Name: "a"}) // a run that computed for no measurable time
+	s.Record(Observation{Name: "a", ComputeTime: 60 * time.Millisecond})
+	if got, ok := s.MeanCompute("a"); !ok || got != 30*time.Millisecond {
+		t.Fatalf("MeanCompute = %v, %v; want 30ms", got, ok)
+	}
+}
+
 func TestSizesUsesFallback(t *testing.T) {
 	g := chain()
 	s := NewStore()

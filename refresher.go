@@ -290,7 +290,9 @@ func (r *Refresher) Refresh(ctx context.Context) (*RunResult, error) {
 // Simulate predicts a refresh run with the session's current plan on the
 // calibrated discrete-event simulator, parameterized by the observed
 // execution metadata (run at least once first for meaningful numbers) and
-// the session's device profile. No real bytes move.
+// the session's device profile. No real bytes move. Each node computes for
+// its mean ComputeTime over the retained runs, so the prediction does not
+// swing with whichever run came last.
 func (r *Refresher) Simulate(ctx context.Context) (*SimResult, error) {
 	g := r.pipe.Graph
 	w := &sim.Workload{G: g}
@@ -299,7 +301,9 @@ func (r *Refresher) Simulate(ctx context.Context) (*SimResult, error) {
 		node := sim.Node{Name: name, OutputBytes: r.cfg.sizeGuess}
 		if o, ok := r.pipe.MD.Latest(name); ok {
 			node.OutputBytes = o.OutputBytes
-			node.ComputeSeconds = o.ComputeTime.Seconds()
+		}
+		if c, ok := r.pipe.MD.MeanCompute(name); ok {
+			node.ComputeSeconds = c.Seconds()
 		}
 		// Base tables are always read from external storage; their encoded
 		// sizes are what a refresh actually moves.

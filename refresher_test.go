@@ -11,6 +11,7 @@ import (
 	"time"
 
 	sc "github.com/shortcircuit-db/sc"
+	"github.com/shortcircuit-db/sc/internal/metrics"
 )
 
 // chainMVs returns a 4-deep linear pipeline over the events base table.
@@ -344,6 +345,39 @@ func TestRefresherSimulatePredictsFromMetadata(t *testing.T) {
 	cancel()
 	if _, err := ref.Simulate(cancelled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("simulate err = %v, want context.Canceled", err)
+	}
+}
+
+// TestSimulateUsesMeanCompute checks that Simulate parameterizes compute
+// by the mean over the recorded runs: two sessions that recorded the same
+// two runs in opposite orders predict the same refresh, and so does one
+// that recorded two runs of the mean compute time.
+func TestSimulateUsesMeanCompute(t *testing.T) {
+	simulate := func(computes ...time.Duration) float64 {
+		t.Helper()
+		store := sc.NewMemStore()
+		baseTables(t, store)
+		ref, err := sc.New(chainMVs(), store, sc.WithMemory(64<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range computes {
+			for _, mv := range chainMVs() {
+				ref.Metrics().Record(metrics.Observation{Name: mv.Name, OutputBytes: 1 << 20, ComputeTime: c})
+			}
+		}
+		res, err := ref.Simulate(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Total
+	}
+	fastLast := simulate(400*time.Millisecond, 10*time.Millisecond)
+	slowLast := simulate(10*time.Millisecond, 400*time.Millisecond)
+	mean := simulate(205*time.Millisecond, 205*time.Millisecond)
+	if fastLast != slowLast || fastLast != mean {
+		t.Fatalf("simulated totals %v (fast run last), %v (slow run last), %v (mean runs); want all equal",
+			fastLast, slowLast, mean)
 	}
 }
 
